@@ -40,6 +40,7 @@ from typing import Callable, Optional
 
 from repro.check.history import CheckResult, check_history, history_digest, recorder
 from repro.check.model import ModelMemcached
+from repro.memcached.client import _ERROR_KIND, _interpret
 from repro.memcached.command import Command as IRCommand
 from repro.memcached.errors import (
     ClientError,
@@ -319,128 +320,62 @@ def _normalize_outcome(outcome, cas_map: dict[int, int]):
     return ["ok", _normalize(payload, cas_map)]
 
 
-def _run_client_op(client, cmd: Command, last_cas: dict[str, int]):
-    """Process helper: execute *cmd*, return a normalized-ready outcome.
-
-    The raw gets() token is stashed in *last_cas* for later cas
-    commands; outcomes are ('ok', raw_result) or ('error', kind).
-    """
+def _resolve(cmd: Command, tokens: dict) -> IRCommand:
+    """The IR command for one generated op, its symbolic token refs
+    resolved against *tokens* (each side -- client, oracle -- keeps its
+    own map, since raw tokens differ between them)."""
     op = cmd.op
-    try:
-        if op in ("set", "add", "replace"):
-            method = getattr(client, op)
-            result = yield from method(cmd.key, cmd.value, cmd.flags, cmd.exptime)
-        elif op in ("append", "prepend"):
-            method = getattr(client, op)
-            result = yield from method(cmd.key, cmd.value)
-        elif op == "cas":
-            token = (
-                last_cas.get(cmd.key, BOGUS_CAS)
-                if cmd.token_ref == "last"
-                else BOGUS_CAS
-            )
-            result = yield from client.cas(
-                cmd.key, cmd.value, token, cmd.flags, cmd.exptime
-            )
-        elif op == "get":
-            result = yield from client.get(cmd.key)
-        elif op == "gets":
-            result = yield from client.gets(cmd.key)
-            if result is not None:
-                last_cas[cmd.key] = result[1]
-        elif op == "getl":
-            result = yield from client.get_lease(cmd.key, cmd.stale_ok)
-            if isinstance(result, tuple) and result[0] == "won":
-                # Composite key: lease tokens live beside cas tokens.
-                last_cas["lease:" + cmd.key] = result[2]
-        elif op == "setl":
-            token = (
-                last_cas.get("lease:" + cmd.key, BOGUS_CAS)
-                if cmd.token_ref == "last"
-                else BOGUS_CAS
-            )
-            result = yield from client.set_with_lease(
-                cmd.key, cmd.value, token, cmd.flags, cmd.exptime
-            )
-        elif op == "delete":
-            result = yield from client.delete(cmd.key)
-        elif op in ("incr", "decr"):
-            method = getattr(client, op)
-            result = yield from method(cmd.key, cmd.delta)
-        elif op == "touch":
-            result = yield from client.touch(cmd.key, cmd.exptime)
-        elif op == "flush_all":
-            result = yield from client.flush_all(cmd.exptime)
-        else:  # pragma: no cover - generator never emits unknown ops
-            raise ValueError(f"unknown op {op!r}")
-    except ClientError:
-        return ("error", "client")
-    except ServerError:
-        return ("error", "server")
-    except ProtocolError:
-        return ("error", "protocol")
-    return ("ok", result)
+    if op == "flush_all":
+        return IRCommand(op="flush_all", exptime=cmd.exptime)
+    ir = IRCommand(op="set" if op == "setl" else op, keys=[cmd.key],
+                   value=cmd.value, flags=cmd.flags, exptime=cmd.exptime)
+    if op in ("incr", "decr"):
+        ir.delta = cmd.delta
+    elif op == "getl":
+        ir.stale_ok = cmd.stale_ok
+    elif op == "cas":
+        ir.cas = (
+            tokens.get(cmd.key, BOGUS_CAS) if cmd.token_ref == "last" else BOGUS_CAS
+        )
+    elif op == "setl":
+        ir.lease_token = (
+            tokens.get("lease:" + cmd.key, BOGUS_CAS)
+            if cmd.token_ref == "last"
+            else BOGUS_CAS
+        )
+    return ir
 
 
-def _run_oracle_op(oracle: ModelMemcached, cmd: Command, last_cas: dict[str, int]):
-    """Execute *cmd* against the oracle; mirrors `_run_client_op`."""
-    op = cmd.op
+def _learn(cmd: Command, outcome, tokens: dict) -> None:
+    """Keep the token a gets hit or a won getl lease handed out, for
+    later 'last' refs on the same key."""
+    status, result = outcome
+    if status != "ok" or not isinstance(result, tuple):
+        return
+    if cmd.op == "gets":
+        tokens[cmd.key] = result[1]
+    elif cmd.op == "getl" and result[0] == "won":
+        # Composite key: lease tokens live beside cas tokens.
+        tokens["lease:" + cmd.key] = result[2]
+
+
+def _client_op(client, ir: IRCommand):
+    """Process helper: *ir* through the client's op path (``_call``:
+    recording, failover, hot cache, transport), as ('ok', result) or
+    ('error', kind).  ServerDownError propagates."""
     try:
-        if op in ("set", "add", "replace"):
-            result = getattr(oracle, op)(cmd.key, cmd.value, cmd.flags, cmd.exptime)
-            result = result == "stored"
-        elif op in ("append", "prepend"):
-            result = getattr(oracle, op)(cmd.key, cmd.value) == "stored"
-        elif op == "cas":
-            token = (
-                last_cas.get(cmd.key, BOGUS_CAS)
-                if cmd.token_ref == "last"
-                else BOGUS_CAS
-            )
-            result = oracle.cas(cmd.key, cmd.value, token, cmd.flags, cmd.exptime)
-        elif op == "get":
-            hit = oracle.get(cmd.key)
-            result = hit.value if hit is not None else None
-        elif op == "gets":
-            hit = oracle.gets(cmd.key)
-            if hit is None:
-                result = None
-            else:
-                last_cas[cmd.key] = hit.cas
-                result = (hit.value, hit.cas)
-        elif op == "getl":
-            state, hit, token = oracle.getl(cmd.key, cmd.stale_ok)
-            if state == "hit":
-                result = hit.value
-            else:
-                if state == "won":
-                    last_cas["lease:" + cmd.key] = token
-                result = (state, hit.value if hit is not None else None, token)
-        elif op == "setl":
-            token = (
-                last_cas.get("lease:" + cmd.key, BOGUS_CAS)
-                if cmd.token_ref == "last"
-                else BOGUS_CAS
-            )
-            result = oracle.set_with_lease(
-                cmd.key, cmd.value, token, cmd.flags, cmd.exptime
-            )
-            result = result == "stored"
-        elif op == "delete":
-            result = oracle.delete(cmd.key)
-        elif op in ("incr", "decr"):
-            result = getattr(oracle, op)(cmd.key, cmd.delta)
-        elif op == "touch":
-            result = oracle.touch(cmd.key, cmd.exptime)
-        elif op == "flush_all":
-            result = oracle.flush_all(cmd.exptime)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown op {op!r}")
-    except ClientError:
-        return ("error", "client")
-    except ServerError:
-        return ("error", "server")
-    return ("ok", result)
+        return ("ok", (yield from client._call(ir)))
+    except (ClientError, ServerError, ProtocolError) as exc:
+        return ("error", _ERROR_KIND[type(exc)])
+
+
+def _oracle_op(oracle: ModelMemcached, ir: IRCommand):
+    """The oracle's answer to *ir*, folded by the client's own reply
+    interpretation into the same ('ok'/'error', x) form."""
+    reply = oracle.apply(ir)
+    if reply.status == "error":
+        return ("error", reply.error_kind)
+    return ("ok", _interpret(ir, reply))
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +559,8 @@ def replay_sequential(
         stale_window_s=sc.stale_window_s,
     )
     result = ReplayResult(config=name)
-    client_cas: dict[str, int] = {}
-    oracle_cas: dict[str, int] = {}
+    client_tokens: dict = {}
+    oracle_tokens: dict = {}
     client_map: dict[int, int] = {}
     oracle_map: dict[int, int] = {}
 
@@ -643,7 +578,8 @@ def replay_sequential(
                 yield cluster.sim.timeout(cmd.sleep_s * 1_000_000)
                 result.outcomes.append(["sleep", cmd.sleep_s])
                 continue
-            actual_raw = yield from _run_client_op(client, cmd, client_cas)
+            actual_raw = yield from _client_op(client, _resolve(cmd, client_tokens))
+            _learn(cmd, actual_raw, client_tokens)
             for lost_key in pending_evictions:
                 oracle.evict(lost_key)
             pending_evictions.clear()
@@ -668,7 +604,8 @@ def replay_sequential(
                 # instant: its clock reads the live simulator, so
                 # expiry agrees (integer seconds vs microsecond
                 # latencies).
-                expected_raw = _run_oracle_op(oracle, cmd, oracle_cas)
+                expected_raw = _oracle_op(oracle, _resolve(cmd, oracle_tokens))
+                _learn(cmd, expected_raw, oracle_tokens)
             oom_seen = oom_now
             actual = _normalize_outcome(actual_raw, client_map)
             expected = _normalize_outcome(expected_raw, oracle_map)
@@ -704,44 +641,6 @@ _BATCHABLE_OPS = frozenset(
 )
 
 
-def _ir_command(cmd: Command, last_cas: dict[str, int]) -> IRCommand:
-    """Build the transport-neutral IR command for one generated op."""
-    op = cmd.op
-    if op in ("set", "add", "replace"):
-        return IRCommand(op=op, keys=[cmd.key], value=cmd.value,
-                         flags=cmd.flags, exptime=cmd.exptime)
-    if op == "cas":
-        token = (
-            last_cas.get(cmd.key, BOGUS_CAS)
-            if cmd.token_ref == "last"
-            else BOGUS_CAS
-        )
-        return IRCommand(op="cas", keys=[cmd.key], value=cmd.value,
-                         flags=cmd.flags, exptime=cmd.exptime, cas=token)
-    if op in ("append", "prepend"):
-        return IRCommand(op=op, keys=[cmd.key], value=cmd.value)
-    if op in ("incr", "decr"):
-        return IRCommand(op=op, keys=[cmd.key], delta=cmd.delta)
-    if op == "touch":
-        return IRCommand(op="touch", keys=[cmd.key], exptime=cmd.exptime)
-    # get / gets / delete
-    return IRCommand(op=op, keys=[cmd.key])
-
-
-def _pipeline_outcome(raw):
-    """Fold one client.pipeline() entry into the ('ok'/'error', x) form
-    `_run_client_op` produces for the same op."""
-    if isinstance(raw, ClientError):
-        return ("error", "client")
-    if isinstance(raw, ServerError):
-        return ("error", "server")
-    if isinstance(raw, ProtocolError):
-        return ("error", "protocol")
-    if isinstance(raw, Exception):
-        raise raw  # ServerDownError etc: the caller's policy decides
-    return ("ok", raw)
-
-
 def replay_pipelined(
     config: tuple[str, str, bool],
     commands: list[Command],
@@ -757,8 +656,8 @@ def replay_pipelined(
     (UCR's window workers race), so only key-disjoint windows have a
     transport-independent outcome.  The oracle executes each window's
     ops in issue order at the window's completion instant; gets tokens
-    feed ``last_cas`` after the window, matching what a pipelining
-    application could observe.
+    feed the client's token map after the window, matching what a
+    pipelining application could observe.
     """
     name, transport, binary = config
     cluster = _build_cluster(seed=seed)
@@ -766,14 +665,16 @@ def replay_pipelined(
     client = cluster.client(transport, binary=binary)
     oracle = ModelMemcached(lambda: cluster.sim.now / 1e6)
     result = ReplayResult(config=f"{name}/pipe{depth}")
-    client_cas: dict[str, int] = {}
-    oracle_cas: dict[str, int] = {}
+    client_tokens: dict = {}
+    oracle_tokens: dict = {}
     client_map: dict[int, int] = {}
     oracle_map: dict[int, int] = {}
 
     def compare(cmd: Command, actual_raw) -> None:
         """Record one outcome against the oracle's, noting mismatches."""
-        expected_raw = _run_oracle_op(oracle, cmd, oracle_cas)
+        _learn(cmd, actual_raw, client_tokens)
+        expected_raw = _oracle_op(oracle, _resolve(cmd, oracle_tokens))
+        _learn(cmd, expected_raw, oracle_tokens)
         actual = _normalize_outcome(actual_raw, client_map)
         expected = _normalize_outcome(expected_raw, oracle_map)
         index = len(result.outcomes)
@@ -783,13 +684,16 @@ def replay_pipelined(
 
     def run_window(window: list[Command]):
         """Process helper: one key-disjoint batch through the pipeline."""
-        ir = [_ir_command(cmd, client_cas) for cmd in window]
-        raws = yield from client.pipeline(ir, depth)
+        raws = yield from client.pipeline(
+            [_resolve(cmd, client_tokens) for cmd in window], depth
+        )
         for cmd, raw in zip(window, raws):
-            outcome = _pipeline_outcome(raw)
-            if cmd.op == "gets" and outcome[0] == "ok" and outcome[1] is not None:
-                client_cas[cmd.key] = outcome[1][1]
-            compare(cmd, outcome)
+            if isinstance(raw, ServerDownError):
+                raise raw  # a lost op has no outcome to compare
+            if isinstance(raw, Exception):
+                compare(cmd, ("error", _ERROR_KIND[type(raw)]))
+            else:
+                compare(cmd, ("ok", raw))
 
     def driver():
         """Window consecutive batchable ops; barriers run blocking."""
@@ -814,7 +718,7 @@ def replay_pipelined(
                 result.outcomes.append(["sleep", cmd.sleep_s])
                 continue
             # Non-batchable real op (cas / flush_all): run it blocking.
-            actual_raw = yield from _run_client_op(client, cmd, client_cas)
+            actual_raw = yield from _client_op(client, _resolve(cmd, client_tokens))
             compare(cmd, actual_raw)
         if window:
             yield from run_window(window)
@@ -1023,11 +927,12 @@ def replay_concurrent(
         controller = ChaosController(cluster, schedule).arm()
         chaos_log = controller.log
 
+    # The concurrent op surface has no cas or lease fills, so no token
+    # ref ever needs resolving: an empty map suffices.
     def driver(client, commands):
-        last_cas: dict[str, int] = {}
         for cmd in commands:
             try:
-                yield from _run_client_op(client, cmd, last_cas)
+                yield from _client_op(client, _resolve(cmd, {}))
             except ServerDownError:
                 # Retry budget exhausted mid-fault: recorded as lost.
                 continue
@@ -1036,11 +941,11 @@ def replay_concurrent(
         # The concurrent op surface has no cas, so every op is
         # batchable; pipeline() records each command and folds lost ops
         # into per-entry outcomes instead of raising.
-        last_cas: dict[str, int] = {}
         for start in range(0, len(commands), pipeline_depth):
             window = commands[start : start + pipeline_depth]
-            ir = [_ir_command(cmd, last_cas) for cmd in window]
-            yield from client.pipeline(ir, pipeline_depth)
+            yield from client.pipeline(
+                [_resolve(cmd, {}) for cmd in window], pipeline_depth
+            )
 
     drive = driver if pipeline_depth <= 1 else pipelined_driver
     with recorder.recording():

@@ -284,9 +284,15 @@ class CheckResult:
         return self.ok
 
 
+def _is_counter(state: bytes) -> bool:
+    """Does *state* parse as a uint64 counter (incr/decr can apply)?"""
+    return state.isdigit() and int(state) < _COUNTER_LIMIT
+
+
 def _effect(op: str, args: tuple, state: Optional[bytes]) -> Optional[bytes]:
-    """The state after *op* executes against *state* (outcome ignored);
-    used for lost operations, whose result was never observed."""
+    """The state after *op* executes against *state* (outcome ignored):
+    the one statement of each op's register effect, used for lost
+    operations and completed ones alike."""
     if op in ("set",):
         return args[0]
     if op == "add":
@@ -300,7 +306,7 @@ def _effect(op: str, args: tuple, state: Optional[bytes]) -> Optional[bytes]:
     if op == "delete":
         return None
     if op in ("incr", "decr"):
-        if state is None or not state.isdigit() or int(state) >= _COUNTER_LIMIT:
+        if state is None or not _is_counter(state):
             return state
         delta = args[0]
         if op == "incr":
@@ -313,8 +319,9 @@ def _effect(op: str, args: tuple, state: Optional[bytes]) -> Optional[bytes]:
 
 def _transition(rec: OpRecord, state: Optional[bytes]):
     """(valid, new_state) for a *completed* operation: does the observed
-    outcome agree with executing *rec* against *state*?"""
-    op, args, outcome = rec.op, rec.args, rec.outcome
+    outcome agree with executing *rec* against *state*?  A successful
+    op's next state is :func:`_effect`'s; this only checks the outcome."""
+    op, outcome = rec.op, rec.outcome
     if _invalid_key(rec.key):
         # An invalid key can never hold state.  Every op on it must fail
         # client-side -- except touch, which skips store-side key
@@ -333,62 +340,41 @@ def _transition(rec: OpRecord, state: Optional[bytes]):
         # Only arithmetic has a state-dependent client error we model:
         # incr/decr on a present non-numeric (or over-wide) value.
         if op in ("incr", "decr") and outcome == ("error", "client"):
-            bad = state is not None and (
-                not state.isdigit() or int(state) >= _COUNTER_LIMIT
-            )
-            return bad, state
+            return state is not None and not _is_counter(state), state
         # Other failures (e.g. a server-side error) are state-independent
         # from the register's point of view: accept without effect.
         return True, state
+    new_state = _effect(op, rec.args, state)
+    present = state is not None
     if op == "set":
-        return outcome is True, args[0]
-    if op == "add":
-        if state is None:
-            return outcome is True, args[0]
-        return outcome is False, state
-    if op == "replace":
-        if state is None:
-            return outcome is False, state
-        return outcome is True, args[0]
-    if op == "append":
-        if state is None:
-            return outcome is False, state
-        return outcome is True, state + args[0]
-    if op == "prepend":
-        if state is None:
-            return outcome is False, state
-        return outcome is True, args[0] + state
-    if op == "get":
-        return outcome == state, state
-    if op == "gets":
-        if state is None:
-            return outcome is None, state
+        valid = outcome is True
+    elif op == "add":
+        valid = outcome is (not present)
+    elif op in ("replace", "append", "prepend", "delete"):
+        valid = outcome is present
+    elif op == "get":
+        valid = outcome == state
+    elif op == "gets":
         # Outcome is (value, cas): tokens are unverifiable against the
         # register model, so only the value is compared.
-        return (
-            isinstance(outcome, tuple) and outcome[0] == state,
-            state,
+        valid = (
+            isinstance(outcome, tuple) and outcome[0] == state
+            if present
+            else outcome is None
         )
-    if op == "delete":
-        if state is None:
-            return outcome is False, state
-        return outcome is True, None
-    if op in ("incr", "decr"):
-        if state is None:
-            return outcome is None, state
-        if not state.isdigit() or int(state) >= _COUNTER_LIMIT:
-            return False, state  # would have raised, not returned
-        delta = args[0]
-        if op == "incr":
-            expect = (int(state) + delta) % _COUNTER_LIMIT
-        else:
-            expect = max(0, int(state) - delta)
-        return outcome == expect, str(expect).encode()
-    if op == "touch":
-        # Checkable histories only touch with exptime=0 (no expiry in
-        # the register model): a pure existence probe.
-        return (outcome is True) == (state is not None), state
-    raise ValueError(f"op {op!r} not supported by the checker")
+    elif op in ("incr", "decr"):
+        # A non-numeric (or over-wide) value would have raised, not
+        # returned.
+        valid = (
+            _is_counter(state) and outcome == int(new_state)
+            if present
+            else outcome is None
+        )
+    else:
+        # touch: checkable histories only touch with exptime=0 (no
+        # expiry in the register model), a pure existence probe.
+        valid = (outcome is True) == present
+    return valid, new_state
 
 
 def _check_group(records: list[OpRecord], evict_budget: int = 0) -> Optional[str]:

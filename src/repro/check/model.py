@@ -12,7 +12,12 @@ and :data:`MODEL_DIVERGENCES` documents how.
 The model raises the same error taxonomy as the store
 (:class:`~repro.memcached.errors.ClientError` /
 :class:`~repro.memcached.errors.ServerError`) so callers can compare
-failure modes, not just values.
+failure modes, not just values.  :meth:`ModelMemcached.apply` answers an
+IR :class:`~repro.memcached.command.Command` with a
+:class:`~repro.memcached.command.Reply`, so the oracle and a live client
+consume exactly the same operation; it is written against the model's
+own methods and shares no code with the server's ``CommandEngine`` --
+the engine is what the oracle checks.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.memcached.command import Command, Reply
 from repro.memcached.errors import ClientError, ServerError
 from repro.memcached.items import ITEM_HEADER_OVERHEAD
 from repro.memcached.slabs import PAGE_BYTES, build_chunk_sizes
@@ -101,6 +107,54 @@ class ModelMemcached:
         self.stale_window_s = stale_window_s
         self._leases: dict[str, tuple[int, float]] = {}
         self._next_lease_token = 1
+
+    # -- the IR surface ---------------------------------------------------------
+
+    def apply(self, cmd: Command) -> Reply:
+        """Run one IR command; always returns a Reply (errors become
+        error replies with the text protocol's taxonomy)."""
+        try:
+            return self._apply(cmd)
+        except ClientError as exc:
+            return Reply("error", message=str(exc), error_kind="client")
+        except ServerError as exc:
+            return Reply("error", message=str(exc), error_kind="server")
+
+    def _apply(self, cmd: Command) -> Reply:
+        op = cmd.op
+        if op in ("get", "gets"):
+            hits = [(key, self.get(key)) for key in cmd.keys]
+            return Reply("values", values=[
+                (key, hit.flags, hit.value, hit.cas)
+                for key, hit in hits if hit is not None
+            ])
+        if op == "getl":
+            state, hit, token = self.getl(cmd.key, cmd.stale_ok)
+            values = [] if hit is None else [(cmd.key, hit.flags, hit.value, hit.cas)]
+            if state == "hit":
+                return Reply("values", values=values)
+            return Reply("values", values=values, lease_state=state,
+                         lease_token=token, stale=bool(values))
+        if op == "set" and cmd.lease_token:
+            return Reply(self.set_with_lease(cmd.key, cmd.value, cmd.lease_token,
+                                             cmd.flags, cmd.exptime))
+        if op in ("set", "add", "replace"):
+            return Reply(getattr(self, op)(cmd.key, cmd.value, cmd.flags, cmd.exptime))
+        if op == "cas":
+            return Reply(self.cas(cmd.key, cmd.value, cmd.cas, cmd.flags, cmd.exptime))
+        if op in ("append", "prepend"):
+            return Reply(getattr(self, op)(cmd.key, cmd.value))
+        if op == "delete":
+            return Reply("deleted" if self.delete(cmd.key) else "not_found")
+        if op in ("incr", "decr"):
+            value = getattr(self, op)(cmd.key, cmd.delta)
+            return Reply("not_found") if value is None else Reply("number", number=value)
+        if op == "touch":
+            return Reply("touched" if self.touch(cmd.key, cmd.exptime) else "not_found")
+        if op == "flush_all":
+            self.flush_all(cmd.exptime)
+            return Reply("ok")
+        return Reply("error", message=f"unknown op {op!r}", error_kind="client")
 
     # -- time / validation helpers ---------------------------------------------
 

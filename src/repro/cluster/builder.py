@@ -27,11 +27,7 @@ from repro.memcached.client import (
     UcrUdTransport,
 )
 from repro.memcached.items import reset_cas_ids
-from repro.memcached.onesided import (
-    OneSidedClient,
-    OneSidedShardedClient,
-    OneSidedTransport,
-)
+from repro.memcached.onesided import OneSidedTransport
 from repro.memcached.server import MemcachedCosts, MemcachedServer, UcrServerPort
 from repro.memcached.serving import GutterRouter, ProbabilisticHotCache
 from repro.memcached.store import StoreConfig
@@ -231,8 +227,7 @@ class Cluster:
                 f"unknown transport {transport!r}; cluster {self.spec.name} has "
                 f"{self.spec.transports}"
             )
-        cls = OneSidedClient if isinstance(t, OneSidedTransport) else MemcachedClient
-        return cls(
+        return MemcachedClient(
             t,
             list(self.server_names),
             distribution=distribution,
@@ -284,12 +279,7 @@ class Cluster:
             ring = GutterRouter(primary, spare, gutter_ttl_s=gutter_ttl_s)
         else:
             ring = HashRing(self.server_names, vnodes=vnodes)
-        cls = (
-            OneSidedShardedClient
-            if isinstance(base.transport, OneSidedTransport)
-            else ShardedClient
-        )
-        return cls(
+        return ShardedClient(
             base.transport,
             ring,
             policy=policy,

@@ -587,8 +587,8 @@ class HistoryGuardRule(Rule):
     checker.  Two obligations:
 
     - operation methods on ``*Client`` classes must thread through the
-      recorder: decorated ``@_recorded(...)``, or delegating to a
-      recorded base method (``_with_failover``) or to the recorder
+      recorder: delegating to the client's one recorded op path
+      (``_call``, which records every attempt) or to the recorder
       directly;
     - outside ``check/`` itself, calls to the recorder's recording
       methods (``invoke``/``complete``/``fail``/``lost``) must be
@@ -607,7 +607,7 @@ class HistoryGuardRule(Rule):
         {
             "set", "add", "replace", "append", "prepend", "cas",
             "get", "gets", "get_multi", "delete", "incr", "decr", "touch",
-            "flush_all",
+            "flush_all", "get_lease", "set_with_lease",
         }
     )
     RECORDER_METHODS = frozenset({"invoke", "complete", "fail", "lost"})
@@ -638,22 +638,21 @@ class HistoryGuardRule(Rule):
                     ctx,
                     stmt,
                     f"{node.name}.{stmt.name}() does not record history: "
-                    f"decorate with @_recorded(...) or delegate to a "
-                    f"recorded path (_with_failover / recorder)",
+                    f"delegate to the recorded op path (self._call) "
+                    f"or to the recorder",
                 )
 
     @classmethod
     def _records(cls, fn: ast.FunctionDef) -> bool:
-        """Decorated ``@_recorded(...)``, or body touches a recorded path."""
-        for deco in fn.decorator_list:
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-            if name == "_recorded":
-                return True
+        """The body calls ``<obj>._call(...)`` or touches the recorder."""
         for node in ast.walk(fn):
-            if isinstance(node, ast.Attribute) and node.attr == "_with_failover":
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_call"
+            ):
                 return True
-            if isinstance(node, ast.Name) and node.id in ("recorder", "_with_failover"):
+            if isinstance(node, ast.Name) and node.id == "recorder":
                 return True
         return False
 

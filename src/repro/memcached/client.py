@@ -6,7 +6,8 @@ hashing, and exposes blocking operations.  All operations are process
 helpers (``yield from client.get(...)``).
 
 Every operation builds one transport-neutral
-:class:`~repro.memcached.command.Command` and hands it to the
+:class:`~repro.memcached.command.Command` and hands it to
+:meth:`MemcachedClient._call`, the one op path, which ends in the
 transport's ``execute``; wire formats live exclusively in the codec
 modules (text/binary: :mod:`repro.memcached.protocol` /
 :mod:`repro.memcached.protocol_binary`, selected by the sockets
@@ -33,8 +34,7 @@ API on top.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.check.history import recorder
@@ -99,62 +99,21 @@ _HOT_INVALIDATING_OPS = frozenset(
      "delete", "incr", "decr", "touch"}
 )
 
+#: Reads a client-local hot cache may answer (and admits fresh hits of).
+_HOT_CACHED_OPS = frozenset({"get", "getl"})
+
 #: Storage ops whose exptime a gutter-bound write must clamp (the
 #: gutter pool holds redirected keys only briefly; see
 #: repro.memcached.serving.gutter).
 _GUTTER_CLAMP_OPS = frozenset({"set", "add", "replace", "cas"})
 
+#: The server a history record names for a read the hot cache answered.
+_HOT_CACHE = "hot-cache"
+
 
 def _ctx(span):
     """The TraceContext of *span*, or None when tracing is off."""
     return span.ctx if span is not None else None
-
-
-def _recorded(op: str):
-    """Wrap a blocking client operation with history recording.
-
-    Zero-cost when checking is off: the disabled path is one attribute
-    read (the same contract as the telemetry tracer; lint L007 enforces
-    the guard).  Each call records invocation and completion instants on
-    the sim clock plus a normalized outcome; ``ServerDownError`` marks
-    the operation *lost* (effect unknown), other memcached errors mark
-    it *failed* (the server answered).  Under ``ShardedClient`` failover
-    each retry attempt is its own record, against the shard it targeted.
-    """
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(self, *args, **kwargs):
-            """Record invoke/complete/fail/lost around *fn* when enabled."""
-            if not recorder.enabled:
-                return (yield from fn(self, *args, **kwargs))
-            key = args[0] if args and isinstance(args[0], str) else None
-            rec_args = tuple(args[1:]) if key is not None else tuple(args)
-            rec = recorder.invoke(self, op, key, rec_args, self.sim.now)
-            try:
-                result = yield from fn(self, *args, **kwargs)
-            except ServerDownError:
-                recorder.lost(rec, self.sim.now, self._last_server)
-                raise
-            except ClientError:
-                recorder.fail(rec, "client", self.sim.now, self._last_server)
-                raise
-            except ServerError:
-                recorder.fail(rec, "server", self.sim.now, self._last_server)
-                raise
-            except ProtocolError:
-                recorder.fail(rec, "protocol", self.sim.now, self._last_server)
-                raise
-            notes = getattr(self, "_op_annotations", ())
-            if notes:
-                self._op_annotations = ()
-            recorder.complete(rec, result, self.sim.now, self._last_server,
-                              annotations=notes)
-            return result
-
-        return wrapper
-
-    return decorate
 
 
 def _raise_reply_error(reply: Reply) -> None:
@@ -220,6 +179,19 @@ def _record_args(cmd: Command) -> tuple:
         return (cmd.delta,)
     if op == "touch":
         return (cmd.exptime,)
+    return ()
+
+
+def _annotations(cmd: Command, reply: Reply, server: Optional[str]) -> tuple:
+    """Serving-layer riders for a completed record, read off the reply:
+    a hot-cache hit, a getl lease verdict (and whether it carried a
+    stale value), or a lease-carrying fill the server refused."""
+    if server == _HOT_CACHE:
+        return ("cached",)
+    if reply.lease_state:
+        return (f"lease-{reply.lease_state}",) + (("stale",) if reply.stale else ())
+    if cmd.lease_token and reply.status != "stored":
+        return ("lease-denied",)
     return ()
 
 
@@ -493,6 +465,11 @@ class UcrTransport:
         header, payload = yield from self.roundtrip(server, request, data)
         return ucrp.response_to_reply(cmd, header, payload)
 
+    #: The active-message path.  ``execute_many`` always takes it, so a
+    #: subclass that overrides ``execute`` (the one-sided transport)
+    #: leaves pipelined and mget batches on RPC.
+    _rpc = execute
+
     def execute_many(self, server: str, commands: list, window: int = 1, trace=None):
         """Process helper: issue *commands* with up to *window* in flight.
 
@@ -506,7 +483,7 @@ class UcrTransport:
         if window <= 1 or len(commands) == 1:
             for i, cmd in enumerate(commands):
                 try:
-                    results[i] = yield from self.execute(server, cmd, trace=trace)
+                    results[i] = yield from self._rpc(server, cmd, trace=trace)
                 except (ServerDownError, ClientError, ServerError, ProtocolError) as exc:
                     results[i] = exc
             return results
@@ -525,7 +502,7 @@ class UcrTransport:
                     return
                 cursor["next"] = i + 1
                 try:
-                    results[i] = yield from self.execute(
+                    results[i] = yield from self._rpc(
                         server, commands[i], trace=trace
                     )
                 except (ServerDownError, ClientError, ServerError, ProtocolError) as exc:
@@ -780,58 +757,114 @@ class MemcachedClient:
     def _note_success(self, server: Optional[str]) -> None:
         pass
 
-    def _call(self, cmd: Command, **span_attrs):
-        """Process helper: the one op path -- span, pick, execute, map."""
+    def _call(self, cmd: Command):
+        """Process helper: the one op path every op method delegates to.
+
+        The outermost layer records history when checking is on (one
+        record per attempt: ``ServerDownError`` marks it *lost*, other
+        memcached errors *failed*, and serving-layer annotations are
+        read off the reply); :meth:`_serve` does the rest.  Zero-cost
+        when recording is off: one attribute read (lint L007).
+        :class:`ShardedClient` overrides this with its retry loop.
+        """
+        if not recorder.enabled:
+            return _interpret(cmd, (yield from self._serve(cmd)))
+        op = "get" if cmd.op == "getl" else cmd.op
+        key = cmd.keys[0] if cmd.keys else None
+        rec = recorder.invoke(self, op, key, _record_args(cmd), self.sim.now)
+        try:
+            reply = yield from self._serve(cmd)
+            result = _interpret(cmd, reply)
+        except ServerDownError:
+            recorder.lost(rec, self.sim.now, self._last_server)
+            raise
+        except (ClientError, ServerError, ProtocolError) as exc:
+            recorder.fail(rec, _ERROR_KIND[type(exc)], self.sim.now,
+                          self._last_server)
+            raise
+        recorder.complete(rec, result, self.sim.now, self._last_server,
+                          annotations=_annotations(cmd, reply, self._last_server))
+        return result
+
+    def _serve(self, cmd: Command):
+        """Process helper: one attempt's reply.
+
+        In order: a hot-cache read answers client-locally; otherwise
+        the span opens, the key picks its server, a gutter-bound write
+        has its expiry clamped, and the transport executes (one-sided
+        or RPC is its choice).  Mutations invalidate the hot-cache
+        entry; fresh read hits the cache admits are stored.  A keyless
+        command (flush_all) goes to every server in the pool instead.
+        """
+        hc = self.hot_cache
+        if hc is not None and cmd.op in _HOT_CACHED_OPS:
+            cached = hc.lookup(cmd.key, self.sim.now / 1e6)
+            if cached is not None:
+                # Served client-locally: zero simulated time, no wire.
+                self._last_server = _HOT_CACHE
+                return Reply("values", values=[(cmd.key, cached[1], cached[0], 0)])
+        if hc is not None and not cmd.keys:
+            hc.invalidate_all()
         span = (
-            tracer.begin(f"client.{cmd.op}", "client", self.sim.now, **span_attrs)
+            tracer.begin(f"client.{cmd.op}", "client", self.sim.now,
+                         keys=cmd.keys, nbytes=len(cmd.value))
             if tracer.enabled
             else None
         )
         try:
+            if not cmd.keys:
+                for server in list(self.distribution.servers):
+                    reply = yield from self.transport.execute(
+                        server, cmd, trace=_ctx(span)
+                    )
+                    _raise_reply_error(reply)
+                return reply
             server = yield from self._pick(cmd.key)
             if cmd.op in _GUTTER_CLAMP_OPS:
                 gutter_ttl = getattr(self.distribution, "gutter_ttl_s", None)
                 if gutter_ttl is not None and self.distribution.is_gutter(server):
                     # Gutter-bound writes live briefly: clamp the expiry
-                    # so redirected keys cannot outstay the outage.
+                    # so redirected keys cannot outstay the outage (on a
+                    # copy: a retry may land on a primary shard).
                     if cmd.exptime == 0 or cmd.exptime > gutter_ttl:
-                        cmd.exptime = gutter_ttl
+                        cmd = replace(cmd, exptime=gutter_ttl)
             reply = yield from self.transport.execute(server, cmd, trace=_ctx(span))
-            return _interpret(cmd, reply)
         finally:
-            if self.hot_cache is not None and cmd.op in _HOT_INVALIDATING_OPS:
+            if hc is not None and cmd.op in _HOT_INVALIDATING_OPS:
                 # Write-through invalidation: even a failed or lost
                 # mutation may have executed server-side.
-                self.hot_cache.invalidate(cmd.key)
+                hc.invalidate(cmd.key)
             if tracer.enabled:
                 tracer.end(span, self.sim.now)
+        if (
+            hc is not None
+            and cmd.op in _HOT_CACHED_OPS
+            and reply.values
+            and not reply.lease_state
+            and hc.admit(cmd.key)
+        ):
+            hc.store(cmd.key, reply.values[0][2], 0, self.sim.now / 1e6)
+        return reply
 
     # -- storage ------------------------------------------------------------------
 
-    @_recorded("set")
     def set(self, key: str, value: bytes, flags: int = 0, exptime: float = 0):
-        cmd = Command(op="set", keys=[key], value=value, flags=flags, exptime=exptime)
-        return (yield from self._call(cmd, key=key, nbytes=len(value)))
+        return self._call(Command(op="set", keys=[key], value=value, flags=flags,
+                                  exptime=exptime))
 
-    @_recorded("add")
     def add(self, key: str, value: bytes, flags: int = 0, exptime: float = 0):
-        cmd = Command(op="add", keys=[key], value=value, flags=flags, exptime=exptime)
-        return (yield from self._call(cmd, key=key, nbytes=len(value)))
+        return self._call(Command(op="add", keys=[key], value=value, flags=flags,
+                                  exptime=exptime))
 
-    @_recorded("replace")
     def replace(self, key: str, value: bytes, flags: int = 0, exptime: float = 0):
-        cmd = Command(op="replace", keys=[key], value=value, flags=flags,
-                      exptime=exptime)
-        return (yield from self._call(cmd, key=key, nbytes=len(value)))
+        return self._call(Command(op="replace", keys=[key], value=value,
+                                  flags=flags, exptime=exptime))
 
-    @_recorded("cas")
     def cas(self, key: str, value: bytes, cas_token: int, flags: int = 0, exptime: float = 0):
         """Returns 'stored' | 'exists' | 'not_found'."""
-        cmd = Command(op="cas", keys=[key], value=value, flags=flags,
-                      exptime=exptime, cas=cas_token)
-        return (yield from self._call(cmd, key=key, nbytes=len(value)))
+        return self._call(Command(op="cas", keys=[key], value=value, flags=flags,
+                                  exptime=exptime, cas=cas_token))
 
-    @_recorded("set")
     def set_with_lease(self, key: str, value: bytes, lease_token: int,
                        flags: int = 0, exptime: float = 0):
         """Fill *key* under a lease won by :meth:`get_lease`.
@@ -842,52 +875,27 @@ class MemcachedClient:
         elapsed).  Returns True iff stored; a denial records a
         ``lease-denied`` annotation (the fill had no effect).
         """
-        cmd = Command(op="set", keys=[key], value=value, flags=flags,
-                      exptime=exptime, lease_token=lease_token)
-        result = yield from self._call(cmd, key=key, nbytes=len(value))
-        if recorder.enabled and result is False:
-            self._op_annotations = ("lease-denied",)
-        return result
+        return self._call(Command(op="set", keys=[key], value=value, flags=flags,
+                                  exptime=exptime, lease_token=lease_token))
 
-    @_recorded("append")
     def append(self, key: str, value: bytes):
         """Append to an existing value; True if the key was present."""
-        cmd = Command(op="append", keys=[key], value=value)
-        return (yield from self._call(cmd, key=key, nbytes=len(value)))
+        return self._call(Command(op="append", keys=[key], value=value))
 
-    @_recorded("prepend")
     def prepend(self, key: str, value: bytes):
         """Prepend to an existing value; True if the key was present."""
-        cmd = Command(op="prepend", keys=[key], value=value)
-        return (yield from self._call(cmd, key=key, nbytes=len(value)))
+        return self._call(Command(op="prepend", keys=[key], value=value))
 
     # -- retrieval ------------------------------------------------------------------
 
-    @_recorded("get")
     def get(self, key: str):
         """Returns the value bytes, or None on miss."""
-        hc = self.hot_cache
-        if hc is not None:
-            cached = hc.lookup(key, self.sim.now / 1e6)
-            if cached is not None:
-                # Served client-locally: zero simulated time, no wire.
-                self._last_server = "hot-cache"
-                if recorder.enabled:
-                    self._op_annotations = ("cached",)
-                return cached[0]
-        cmd = Command(op="get", keys=[key])
-        value = yield from self._call(cmd, key=key)
-        if hc is not None and value is not None and hc.admit(key):
-            hc.store(key, value, 0, self.sim.now / 1e6)
-        return value
+        return self._call(Command(op="get", keys=[key]))
 
-    @_recorded("gets")
     def gets(self, key: str):
         """Returns (value, cas) or None."""
-        cmd = Command(op="gets", keys=[key])
-        return (yield from self._call(cmd, key=key))
+        return self._call(Command(op="gets", keys=[key]))
 
-    @_recorded("get")
     def get_lease(self, key: str, stale_ok: bool = True):
         """Anti-dogpile get: a fresh value, or a lease verdict on miss.
 
@@ -901,26 +909,7 @@ class MemcachedClient:
         None.  Recorded as a ``get`` with lease/staleness annotations
         so the history checker treats the miss leniently.
         """
-        hc = self.hot_cache
-        if hc is not None:
-            cached = hc.lookup(key, self.sim.now / 1e6)
-            if cached is not None:
-                self._last_server = "hot-cache"
-                if recorder.enabled:
-                    self._op_annotations = ("cached",)
-                return cached[0]
-        cmd = Command(op="getl", keys=[key], stale_ok=stale_ok)
-        result = yield from self._call(cmd, key=key)
-        if isinstance(result, tuple):
-            if recorder.enabled:
-                notes = ("lease-won",) if result[0] == "won" else ("lease-lost",)
-                if result[1] is not None:
-                    notes += ("stale",)
-                self._op_annotations = notes
-            return result
-        if hc is not None and result is not None and hc.admit(key):
-            hc.store(key, result, 0, self.sim.now / 1e6)
-        return result
+        return self._call(Command(op="getl", keys=[key], stale_ok=stale_ok))
 
     def get_multi(self, keys: list[str]):
         """mget: {key: value} for hits, one batched request per server.
@@ -973,11 +962,17 @@ class MemcachedClient:
 
         One multi-key get Command per group; the binary codec turns it
         into a GETKQ quiet batch closed by a NOOP (misses produce no
-        frame), text and UCR batch natively.
+        frame), text and UCR batch natively.  It goes out as a batch of
+        one (``execute_many``), which always takes the RPC path -- even a
+        single-key group stays off the one-sided READs.
         """
         cmd = Command(op="get", keys=list(group))
         try:
-            reply = yield from self.transport.execute(server, cmd, trace=trace)
+            (reply,) = yield from self.transport.execute_many(
+                server, [cmd], trace=trace
+            )
+            if isinstance(reply, Exception):
+                raise reply
             _raise_reply_error(reply)
         except ServerDownError:
             if recorder.enabled and recs is not None:
@@ -1096,50 +1091,25 @@ class MemcachedClient:
 
     # -- mutation -------------------------------------------------------------------
 
-    @_recorded("delete")
     def delete(self, key: str):
         """Remove *key*; True if it existed."""
-        cmd = Command(op="delete", keys=[key])
-        return (yield from self._call(cmd, key=key))
+        return self._call(Command(op="delete", keys=[key]))
 
-    @_recorded("incr")
     def incr(self, key: str, delta: int = 1):
-        cmd = Command(op="incr", keys=[key], delta=delta)
-        return (yield from self._call(cmd, key=key))
+        return self._call(Command(op="incr", keys=[key], delta=delta))
 
-    @_recorded("decr")
     def decr(self, key: str, delta: int = 1):
-        cmd = Command(op="decr", keys=[key], delta=delta)
-        return (yield from self._call(cmd, key=key))
+        return self._call(Command(op="decr", keys=[key], delta=delta))
 
-    @_recorded("touch")
     def touch(self, key: str, exptime: float):
         """Update *key*'s expiry; True if it existed."""
-        cmd = Command(op="touch", keys=[key], exptime=exptime)
-        return (yield from self._call(cmd, key=key))
+        return self._call(Command(op="touch", keys=[key], exptime=exptime))
 
     # -- admin ----------------------------------------------------------------------
 
-    @_recorded("flush_all")
     def flush_all(self, delay: float = 0.0):
         """Flush every server in the pool."""
-        if self.hot_cache is not None:
-            self.hot_cache.invalidate_all()
-        span = (
-            tracer.begin("client.flush_all", "client", self.sim.now)
-            if tracer.enabled
-            else None
-        )
-        try:
-            for server in list(self.distribution.servers):
-                cmd = Command(op="flush_all", exptime=delay)
-                reply = yield from self.transport.execute(
-                    server, cmd, trace=_ctx(span)
-                )
-                _interpret(cmd, reply)
-        finally:
-            if tracer.enabled:
-                tracer.end(span, self.sim.now)
+        return self._call(Command(op="flush_all", exptime=delay))
 
     def stats(self, server: Optional[str] = None):
         """Stats from one server (default: the first in the pool)."""
@@ -1292,20 +1262,27 @@ class ShardedClient(MemcachedClient):
         h = self._health[server]
         return h.consecutive_failures, h.ejected_until, h.ejections
 
-    # -- failover wrapper --------------------------------------------------
+    # -- failover ----------------------------------------------------------
 
-    def _with_failover(self, op, *args, **kwargs):
-        """Process helper: run one base-client op with bounded retry.
+    def _call(self, cmd: Command):
+        """Process helper: the base op path with bounded retry.
 
-        *op* is a base-client method name, or the unbound method itself
-        (subclasses pass e.g. ``OneSidedClient.get`` to route through
-        their own op implementations).
+        Each attempt is one base-client :meth:`MemcachedClient._call`
+        (so its own history record, against the shard it targeted),
+        re-picking the target.  get_multi keeps the base fan-out (its
+        per-server groups are already independent, and a partial mget
+        is the documented memcached contract); pipeline() likewise
+        reports per-command outcomes instead of retrying -- it still
+        feeds the shard health accounting via _note_failure/success.
+        A keyless command (flush_all) has no owning shard to fail over
+        from and runs once.
         """
-        method = op if callable(op) else getattr(MemcachedClient, op)
+        if not cmd.keys:
+            return (yield from super()._call(cmd))
         for attempt in range(self.policy.max_retries + 1):
             self._last_server = None
             try:
-                result = yield from method(self, *args, **kwargs)
+                result = yield from super()._call(cmd)
             except ServerDownError:
                 self._note_failure(self._last_server)
                 if attempt >= self.policy.max_retries:
@@ -1316,53 +1293,3 @@ class ShardedClient(MemcachedClient):
                 continue
             self._note_success(self._last_server)
             return result
-
-    # Single-key operations gain failover; get_multi keeps the base
-    # fan-out (its per-server groups are already independent, and a
-    # partial mget is the documented memcached contract).  pipeline()
-    # likewise reports per-command outcomes instead of retrying -- it
-    # still feeds the shard health accounting via _note_failure/success.
-
-    def set(self, key: str, value: bytes, flags: int = 0, exptime: float = 0):
-        return self._with_failover("set", key, value, flags, exptime)
-
-    def add(self, key: str, value: bytes, flags: int = 0, exptime: float = 0):
-        return self._with_failover("add", key, value, flags, exptime)
-
-    def replace(self, key: str, value: bytes, flags: int = 0, exptime: float = 0):
-        return self._with_failover("replace", key, value, flags, exptime)
-
-    def append(self, key: str, value: bytes):
-        return self._with_failover("append", key, value)
-
-    def prepend(self, key: str, value: bytes):
-        return self._with_failover("prepend", key, value)
-
-    def cas(self, key: str, value: bytes, cas_token: int, flags: int = 0, exptime: float = 0):
-        return self._with_failover("cas", key, value, cas_token, flags, exptime)
-
-    def get(self, key: str):
-        return self._with_failover("get", key)
-
-    def gets(self, key: str):
-        return self._with_failover("gets", key)
-
-    def get_lease(self, key: str, stale_ok: bool = True):
-        return self._with_failover("get_lease", key, stale_ok)
-
-    def set_with_lease(self, key: str, value: bytes, lease_token: int,
-                       flags: int = 0, exptime: float = 0):
-        return self._with_failover("set_with_lease", key, value, lease_token,
-                                   flags, exptime)
-
-    def delete(self, key: str):
-        return self._with_failover("delete", key)
-
-    def incr(self, key: str, delta: int = 1):
-        return self._with_failover("incr", key, delta)
-
-    def decr(self, key: str, delta: int = 1):
-        return self._with_failover("decr", key, delta)
-
-    def touch(self, key: str, exptime: float):
-        return self._with_failover("touch", key, exptime)

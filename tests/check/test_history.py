@@ -64,6 +64,32 @@ def test_client_ids_stable_in_first_invoke_order():
     assert (r1.client, r2.client, r3.client) == (0, 1, 0)
 
 
+def test_recorded_args_do_not_depend_on_call_style():
+    """A client op records the args of the op, not the positional args
+    it happened to be called with: a default incr delta and a keyword
+    touch exptime are recorded, and positional flags/exptime are not."""
+    from repro.cluster import CLUSTER_A, Cluster
+
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server()
+    client = cluster.client("UCR-IB")
+
+    def scenario():
+        yield from client.set("n", b"5")
+        yield from client.incr("n")
+        yield from client.set("k", b"v", 0, 0)
+        yield from client.touch("n", exptime=5)
+
+    with recorder.recording():
+        cluster.sim.process(scenario())
+        cluster.sim.run()
+        records = list(recorder.records)
+    assert [r.args for r in records] == [(b"5",), (1,), (b"v",), (5,)]
+    assert check_history(records[:3]).ok
+    with pytest.raises(ValueError, match="nonzero exptime"):
+        check_history(records)
+
+
 def test_lost_and_fail_shapes():
     with recorder.recording():
         r1 = recorder.invoke(object(), "set", "k", (b"v",), 1.0)

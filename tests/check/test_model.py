@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.check.model import MODEL_DIVERGENCES, ModelMemcached
+from repro.memcached.command import Command
 from repro.memcached.errors import ClientError, ServerError
 from repro.memcached.items import ITEM_HEADER_OVERHEAD
 from repro.memcached.slabs import PAGE_BYTES
@@ -165,6 +166,39 @@ def test_model_eviction_adoption():
     assert model.evict("k") is True
     assert model.get("k") is None
     assert model.evict("k") is False  # nothing left to adopt
+
+
+def test_model_apply_answers_the_command_ir_and_never_raises(clock):
+    model = ModelMemcached(clock)
+
+    def apply(op, key=None, **fields):
+        return model.apply(Command(op=op, keys=[key] if key else [], **fields))
+
+    assert apply("set", "n", value=b"5").status == "stored"
+    assert apply("add", "n", value=b"9").status == "not_stored"
+    assert apply("incr", "n", delta=2).number == 7
+    assert apply("decr", "gone", delta=1).status == "not_found"
+    hits = model.apply(Command(op="gets", keys=["n", "gone"])).values
+    assert [(key, data) for key, _flags, data, _cas in hits] == [("n", b"7")]
+    assert apply("cas", "n", value=b"1", cas=hits[0][3]).status == "stored"
+    assert apply("append", "n", value=b"0").status == "stored"
+    assert apply("touch", "n").status == "touched"
+    # Errors come back as replies with the text protocol's taxonomy.
+    bad = apply("incr", "k" * 251, delta=1)
+    assert (bad.status, bad.error_kind) == ("error", "client")
+    big = apply("set", "big", value=bytes(PAGE_BYTES))
+    assert (big.status, big.error_kind) == ("error", "server")
+    # Leases: the first getl miss wins, the next loses, a fill settles it.
+    won = apply("getl", "cold")
+    assert (won.lease_state, won.values) == ("won", [])
+    assert apply("getl", "cold").lease_state == "lost"
+    fill = apply("set", "cold", value=b"v", lease_token=won.lease_token)
+    assert fill.status == "stored"
+    fresh = apply("getl", "cold")
+    assert (fresh.lease_state, fresh.values[0][2]) == ("", b"v")
+    clock.now = 1.0
+    assert apply("flush_all").status == "ok"
+    assert apply("get", "n").values == []
 
 
 def test_model_too_large_set_destroys_old_value():

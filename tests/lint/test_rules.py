@@ -509,6 +509,36 @@ def test_l007_accepts_decorated_and_delegating_ops(tmp_path):
         tmp_path,
         "src/repro/core/mod.py",
         """
+        from repro.check.history import recorder
+
+        class FancyClient:
+            __slots__ = ()
+
+            def get(self, key):
+                return self._call(Command(op="get", keys=[key]))
+
+            def delete(self, key):
+                return (yield from self._call(Command(op="delete", keys=[key])))
+
+            def get_multi(self, keys):
+                if recorder.enabled:
+                    pass
+                yield from self._fan_out(keys)
+
+            def helper(self, key):
+                return key  # not an op method: no obligation
+        """,
+    )
+    assert report.findings == []
+
+
+def test_l007_no_longer_accepts_the_retired_recording_idioms(tmp_path):
+    """A decorator named ``_recorded`` or a ``_with_failover`` wrapper is
+    no proof of recording any more: only the ``_call`` path records."""
+    report = _lint(
+        tmp_path,
+        "src/repro/core/mod.py",
+        """
         def _recorded(op):
             def deco(fn):
                 return fn
@@ -519,16 +549,16 @@ def test_l007_accepts_decorated_and_delegating_ops(tmp_path):
 
             @_recorded("get")
             def get(self, key):
-                yield from self._round_trip(key)
+                yield from self.transport.execute("s0", key)
 
             def delete(self, key):
                 return (yield from self._with_failover("delete", key))
 
-            def helper(self, key):
-                return key  # not an op method: no obligation
+            def get_lease(self, key):
+                yield from self.transport.execute("s0", key)
         """,
     )
-    assert report.findings == []
+    assert _rule_ids(report) == ["L007", "L007", "L007"]
 
 
 def test_l007_skips_the_check_package_itself(tmp_path):

@@ -24,8 +24,7 @@ from repro.memcached.onesided import (
     HEADER_BYTES,
     INDEX_MAGIC,
     IndexEntry,
-    OneSidedClient,
-    OneSidedShardedClient,
+    OneSidedTransport,
     entry_offset,
     hash64,
     pack_entry,
@@ -112,8 +111,9 @@ def run(cluster, gen):
 
 def test_hit_is_served_by_reads_without_rpc(cluster):
     client = cluster.client("UCR-1S")
-    assert isinstance(client, OneSidedClient)
     t = client.transport
+    assert isinstance(t, OneSidedTransport)
+    assert (t.onesided_hits, t.onesided_reads) == (0, 0)
 
     def scenario():
         yield from client.set("k", b"payload", flags=3)
@@ -306,7 +306,7 @@ def test_write_hot_key_exhausts_retries_and_falls_back(cluster):
 
 def test_concurrent_onesided_history_is_linearizable(cluster):
     clients = [cluster.sharded_client("UCR-1S", client_node=i) for i in range(2)]
-    assert all(isinstance(c, OneSidedShardedClient) for c in clients)
+    assert all(isinstance(c.transport, OneSidedTransport) for c in clients)
 
     def worker(client, salt):
         for i in range(30):

@@ -262,3 +262,74 @@ def test_hash_ring_satisfies_distribution_protocol():
     assert ring.server_for("x") in ring.servers
     ring.remove_server("server1")
     assert ring.servers == ["server0"]
+
+
+#: Every single-key op, with args that are valid on a shard that never
+#: saw the key (the rerouted survivor starts empty).
+_SINGLE_KEY_OPS = {
+    "set": (b"v",),
+    "add": (b"v",),
+    "replace": (b"v",),
+    "append": (b"v",),
+    "prepend": (b"v",),
+    "cas": (b"v", 1),
+    "get": (),
+    "gets": (),
+    "get_lease": (),
+    "set_with_lease": (b"v", 1),
+    "delete": (),
+    "incr": (),
+    "decr": (),
+    "touch": (0,),
+}
+
+
+def _fails_over(transport, op, args):
+    """Kill the shard owning a key, run *op* on it, and return the
+    attempts recorded for that op: (status, server) per attempt.
+
+    The op's key is one the victim never stored, so a one-sided read
+    finds no index entry and must take the RPC path, which sees the
+    crash (one-sided READs are served by the HCA without the server
+    process, so a crash alone does not stop them)."""
+    from repro.check.history import recorder
+
+    cluster = pool()
+    client = cluster.sharded_client(
+        transport,
+        timeout_us=3000.0,
+        policy=FailoverPolicy(eject_threshold=1, rejoin_after_us=1e9),
+    )
+    victim = "server1"
+    warm, key = keys_owned_by(client, victim)[:2]
+
+    def scenario():
+        yield from client.set(warm, b"7")  # connect before the crash
+        cluster.ucr_ports[victim].crash()
+        yield from getattr(client, op)(key, *args)
+
+    with recorder.recording():
+        run(cluster, scenario())
+        attempts = [(r.status, r.server) for r in recorder.records[1:]]
+    assert client.failovers == 1 and client.gave_up == 0
+    assert client.ejected_servers() == frozenset({victim})
+    return client, victim, attempts
+
+
+@pytest.mark.parametrize("op", sorted(_SINGLE_KEY_OPS))
+def test_every_single_key_op_fails_over(op):
+    _client, victim, attempts = _fails_over("UCR-IB", op, _SINGLE_KEY_OPS[op])
+    assert attempts[0] == ("lost", victim)
+    assert len(attempts) == 2
+    status, survivor = attempts[1]
+    assert status == "complete" and survivor not in (victim, None)
+
+
+@pytest.mark.parametrize("op", ["get", "gets", "get_lease"])
+def test_onesided_reads_fail_over(op):
+    client, victim, attempts = _fails_over("UCR-1S", op, ())
+    assert attempts[0] == ("lost", victim)
+    # Both attempts probed the index first and fell back to RPC.
+    assert client.transport.fallbacks == {"absent": 2}
+    status, survivor = attempts[-1]
+    assert status == "complete" and survivor not in (victim, None)
