@@ -155,15 +155,67 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
+def _shrink_and_dump(
+    path: str,
+    commands: list,
+    seed: int,
+    names: list[str],
+    mutation: Optional[str],
+    pressure: bool,
+) -> bool:
+    """ddmin a failing case and dump it to *path*; False (and no dump)
+    when the case does not fail.
+
+    *names* is the failure: one config that disagrees with its oracle,
+    or two configs whose replays disagree with each other.  The case
+    shrinks on "this differential run over *names* still fails".
+    """
     from repro.check.differential import (
         PRESSURE_STORE_CONFIG,
         differential_run,
         dump_mismatch,
+        shrink_commands,
+    )
+
+    table = _configs_by_name()
+
+    def run(sub):
+        return differential_run(
+            sub,
+            seed=seed,
+            configs=[table[name] for name in names],
+            mutation=mutation,
+            store_config=PRESSURE_STORE_CONFIG if pressure else None,
+            tolerant=pressure,
+        )
+
+    if run(commands).ok:
+        return False
+    small = shrink_commands(commands, lambda sub: not run(sub).ok)
+    diff = run(small)
+    bad = next((r for r in diff.replays if not r.ok), diff.replays[0])
+    dump_mismatch(
+        path,
+        seed,
+        bad.config,
+        small,
+        bad,
+        mutation=mutation,
+        pressure=pressure,
+        disagreement=None if bad.mismatches else diff.disagreements[0],
+    )
+    print(f"  shrunk {len(commands)} -> {len(small)} commands; wrote {path}")
+    for cmd in small:
+        print(f"    {cmd.op} {cmd.key!r} value={cmd.value!r}")
+    return True
+
+
+def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from repro.check.differential import (
+        PRESSURE_STORE_CONFIG,
+        differential_run,
         fuzz_parsers,
         generate_commands,
-        replay_sequential,
-        shrink_commands,
     )
 
     configs = _select_configs(args.config)
@@ -196,35 +248,15 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"seed {seed}: ok ({len(commands)} commands{note})")
             continue
         failures += 1
-        bad = next(
-            (r for r in diff.replays if not r.ok), diff.replays[0]
-        )
-        config = _configs_by_name()[bad.config]
-        print(f"seed {seed}: MISMATCH on {bad.config}; shrinking ...")
-
-        def failing(sub):
-            return not replay_sequential(
-                config, sub, seed=seed, mutation=args.mutation,
-                store_config=store_config,
-            ).ok
-
-        small = shrink_commands(commands, failing)
-        replay = replay_sequential(
-            config, small, seed=seed, mutation=args.mutation,
-            store_config=store_config,
-        )
-        path = dump_mismatch(
+        bad = next((r for r in diff.replays if not r.ok), None)
+        # Every replay may match its own oracle while two configs still
+        # disagree with each other: then the pair is the failure.
+        names = [bad.config] if bad else list(diff.disagreements[0][:2])
+        print(f"seed {seed}: MISMATCH on {' vs '.join(names)}; shrinking ...")
+        _shrink_and_dump(
             f"{args.out}/mismatch-seed{seed}.json",
-            seed,
-            bad.config,
-            small,
-            replay,
-            mutation=args.mutation,
-            pressure=pressure,
+            commands, seed, names, args.mutation, pressure,
         )
-        print(f"  {len(small)}-op repro written to {path}")
-        for cmd in small:
-            print(f"    {cmd.op} {cmd.key!r} value={cmd.value!r}")
 
     parser_failures = fuzz_parsers(args.seed, n_cases=args.parser_cases)
     if parser_failures:
@@ -238,43 +270,22 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_shrink(args: argparse.Namespace) -> int:
-    from repro.check.differential import (
-        dump_mismatch,
-        load_commands,
-        replay_sequential,
-        shrink_commands,
-    )
-
-    from repro.check.differential import PRESSURE_STORE_CONFIG
+    from repro.check.differential import load_commands
 
     doc, commands = load_commands(args.repro_file)
-    config = _configs_by_name().get(doc["config"])
-    if config is None:
-        print(f"unknown config {doc['config']!r} in {args.repro_file}", file=sys.stderr)
-        return 1
-    seed, mutation = doc.get("seed", 42), doc.get("mutation")
-    pressure = doc.get("pressure", False)
-    store_config = PRESSURE_STORE_CONFIG if pressure else None
-
-    def failing(sub):
-        return not replay_sequential(
-            config, sub, seed=seed, mutation=mutation, store_config=store_config
-        ).ok
-
-    if not failing(commands):
+    # Dumps written before pair shrinking name one config only.
+    names = doc.get("configs") or [doc["config"]]
+    for name in names:
+        if name not in _configs_by_name():
+            print(f"unknown config {name!r} in {args.repro_file}", file=sys.stderr)
+            return 1
+    out = args.output or args.repro_file.replace(".json", "") + ".min.json"
+    if not _shrink_and_dump(
+        out, commands, doc.get("seed", 42), names, doc.get("mutation"),
+        doc.get("pressure", False),
+    ):
         print(f"{args.repro_file}: no longer fails ({len(commands)} commands) -- fixed?")
         return 0
-    small = shrink_commands(commands, failing)
-    replay = replay_sequential(
-        config, small, seed=seed, mutation=mutation, store_config=store_config
-    )
-    out = args.output or args.repro_file.replace(".json", "") + ".min.json"
-    dump_mismatch(
-        out, seed, doc["config"], small, replay, mutation=mutation, pressure=pressure
-    )
-    print(f"shrunk {len(commands)} -> {len(small)} commands; wrote {out}")
-    for cmd in small:
-        print(f"  {cmd.op} {cmd.key!r} value={cmd.value!r}")
     return 1
 
 

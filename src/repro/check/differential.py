@@ -40,9 +40,11 @@ from typing import Callable, Optional
 
 from repro.check.history import CheckResult, check_history, history_digest, recorder
 from repro.check.model import ModelMemcached
-from repro.memcached.client import _ERROR_KIND, _interpret
+from repro.check.outcome import canonical
 from repro.memcached.command import Command as IRCommand
+from repro.memcached.command import interpret
 from repro.memcached.errors import (
+    ERROR_KIND,
     ClientError,
     ProtocolError,
     ServerDownError,
@@ -285,29 +287,6 @@ def generate_commands(
 # ---------------------------------------------------------------------------
 
 
-def _normalize(result, cas_map: dict[int, int]):
-    """Fold a raw op result into a JSON-able, cas-canonical form."""
-    if isinstance(result, bytes):
-        return result.decode("latin-1")
-    if isinstance(result, tuple) and len(result) == 2:
-        value, cas = result  # a gets() hit: (value, raw cas token)
-        token = cas_map.setdefault(cas, len(cas_map))
-        return [_normalize(value, cas_map), f"cas#{token}"]
-    if isinstance(result, tuple) and len(result) == 3:
-        # A get_lease miss verdict: (state, stale_value, lease_token).
-        # Lease tokens are canonicalized like cas tokens, namespaced so
-        # the two counters cannot collide in the shared first-occurrence
-        # map.
-        state, stale_value, token = result
-        label = (
-            f"lease#{cas_map.setdefault(('lease', token), len(cas_map))}"
-            if token
-            else None
-        )
-        return [state, _normalize(stale_value, cas_map), label]
-    return result
-
-
 def _normalize_outcome(outcome, cas_map: dict[int, int]):
     """Normalize a ('ok', result) / ('error', kind) outcome pair.
 
@@ -317,7 +296,7 @@ def _normalize_outcome(outcome, cas_map: dict[int, int]):
     status, payload = outcome
     if status != "ok":
         return [status, payload]
-    return ["ok", _normalize(payload, cas_map)]
+    return ["ok", canonical(payload, cas_map)]
 
 
 def _resolve(cmd: Command, tokens: dict) -> IRCommand:
@@ -366,7 +345,7 @@ def _client_op(client, ir: IRCommand):
     try:
         return ("ok", (yield from client._call(ir)))
     except (ClientError, ServerError, ProtocolError) as exc:
-        return ("error", _ERROR_KIND[type(exc)])
+        return ("error", ERROR_KIND[type(exc)])
 
 
 def _oracle_op(oracle: ModelMemcached, ir: IRCommand):
@@ -375,7 +354,7 @@ def _oracle_op(oracle: ModelMemcached, ir: IRCommand):
     reply = oracle.apply(ir)
     if reply.status == "error":
         return ("error", reply.error_kind)
-    return ("ok", _interpret(ir, reply))
+    return ("ok", interpret(ir, reply))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +670,7 @@ def replay_pipelined(
             if isinstance(raw, ServerDownError):
                 raise raw  # a lost op has no outcome to compare
             if isinstance(raw, Exception):
-                compare(cmd, ("error", _ERROR_KIND[type(raw)]))
+                compare(cmd, ("error", ERROR_KIND[type(raw)]))
             else:
                 compare(cmd, ("ok", raw))
 
@@ -1082,11 +1061,20 @@ def dump_mismatch(
     result: ReplayResult,
     mutation: Optional[str] = None,
     pressure: bool = False,
+    disagreement: Optional[tuple[str, str, int]] = None,
 ) -> str:
-    """Write a JSON repro case; returns the path written."""
+    """Write a JSON repro case; returns the path written.
+
+    *result* is the replay on *config_name*.  A case that fails only
+    because two configs disagree passes that ``(config, config, index)``
+    as *disagreement*: the dump then names both configs, and the index
+    where they first disagree.
+    """
     doc = {
         "seed": seed,
         "config": config_name,
+        "configs": list(disagreement[:2]) if disagreement else [config_name],
+        "disagreement_index": disagreement[2] if disagreement else None,
         "mutation": mutation,
         "pressure": pressure,
         "commands": [c.to_json() for c in commands],

@@ -15,25 +15,32 @@ errors are **fail** (the server answered, with an error).
 Checking
 --------
 
-:func:`check_history` is a Wing--Gong linearizability checker
-specialized to memcached's per-key register/counter semantics.  Because
-keys are independent registers (and, under failover, independent *per
-server*), the global history factors into per-``(key, server)``
-sub-histories that are checked separately -- which is what makes
-multi-client histories check in milliseconds: the exponential term is
-the per-key concurrency width, not the client count.
+:func:`check_history` is a Wing--Gong linearizability checker over
+per-key registers.  Because keys are independent registers (and, under
+failover, independent *per server*), the global history factors into
+per-``(key, server)`` sub-histories that are checked separately -- which
+is what makes multi-client histories check in milliseconds: the
+exponential term is the per-key concurrency width, not the client count.
 
-Semantics of lost operations follow the issue's failover contract:
+The checker states no op semantics of its own.  Each search step loads
+the register into a one-key :class:`~repro.check.model.ModelMemcached`,
+runs the record's op through the oracle's ``apply``, and reads the
+expected outcome through :func:`~repro.memcached.command.interpret` and
+the next state off the oracle.  Semantics of lost and failed operations:
 
-- a lost operation MAY have executed (branch: apply its effect at any
-  point after invocation) or may never have reached the server
-  (branch: drop it) -- both linearizations are legal;
+- a lost operation MAY have executed (branch: the oracle's next state)
+  or may never have reached the server (branch: unchanged) -- both
+  linearizations are legal;
+- a failed operation is explained if the oracle fails it with the same
+  error kind (its next state is then the oracle's, e.g. an oversize
+  store unlinks the old item first), or if the kind is ``server`` or
+  ``protocol`` (memory pressure and stream desync are outside the
+  register model: accepted without effect);
 - a *phantom completion* -- an observed response that no linearization
   of the operations explains -- is a checker failure.
 
-This module is deliberately dependency-free (stdlib only): the
-memcached client imports it, so it must not import anything that
-imports the client back.
+Import note: the memcached client imports this module, so it (and the
+oracle it imports) must not import the client or the cluster builder.
 """
 
 from __future__ import annotations
@@ -43,6 +50,11 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
+
+from repro.check.model import ModelMemcached
+from repro.check.outcome import canonical
+from repro.memcached.command import Command, interpret
+from repro.memcached.errors import ERROR_KIND, ClientError, ServerDownError
 
 #: Completion instant of an operation still in flight (or lost).
 INFINITY = float("inf")
@@ -67,15 +79,25 @@ CHECKABLE_OPS = frozenset(
     }
 )
 
-#: Counter ceiling (uint64), matching the store and the model.
-_COUNTER_LIMIT = 2**64
+#: The Command fields each op's record keeps, in ``args`` order.
+_RECORDED_FIELDS: dict[str, tuple[str, ...]] = {
+    **dict.fromkeys(("set", "add", "replace", "append", "prepend"), ("value",)),
+    "cas": ("value", "cas"),
+    "incr": ("delta",),
+    "decr": ("delta",),
+    "touch": ("exptime",),
+}
 
-#: Key-validation limits, matching ``repro.memcached.store``.
-_MAX_KEY_LENGTH = 250
+
+def record_args(cmd: Command) -> tuple:
+    """The ``args`` a record of *cmd* carries (value/delta/exptime...)."""
+    return tuple(getattr(cmd, name) for name in _RECORDED_FIELDS.get(cmd.op, ()))
 
 
-def _invalid_key(key: Optional[str]) -> bool:
-    return not key or len(key) > _MAX_KEY_LENGTH or any(c in key for c in " \r\n\t\0")
+def _command(rec: OpRecord) -> Command:
+    """The IR command *rec* ran: the inverse of :func:`record_args`."""
+    fields = dict(zip(_RECORDED_FIELDS.get(rec.op, ()), rec.args))
+    return Command(op=rec.op, keys=[rec.key], **fields)
 
 
 @dataclass
@@ -188,6 +210,24 @@ class HistoryRecorder:
         rec.completed_us = None
         rec.server = server
 
+    def settle(
+        self,
+        rec: OpRecord,
+        result: Any,
+        now_us: float,
+        server: Optional[str],
+        annotations: tuple = (),
+    ) -> None:
+        """Close *rec* with an op's *result*: a ``ServerDownError`` marks
+        it lost, any other exception failed with its error kind, and
+        anything else is the completed op's return value."""
+        if isinstance(result, ServerDownError):
+            self.lost(rec, now_us, server)
+        elif isinstance(result, Exception):
+            self.fail(rec, ERROR_KIND.get(type(result), "server"), now_us, server)
+        else:
+            self.complete(rec, result, now_us, server, annotations)
+
     # -- scoped recording ----------------------------------------------------
 
     @contextmanager
@@ -216,20 +256,6 @@ class HistoryRecorder:
 recorder = HistoryRecorder()
 
 
-def _canonical_outcome(outcome: Any, cas_map: dict[int, int]) -> Any:
-    """JSON-able outcome with cas tokens renamed by first occurrence."""
-    if isinstance(outcome, bytes):
-        return outcome.decode("latin-1")
-    if isinstance(outcome, tuple) and len(outcome) == 2 and isinstance(outcome[1], int):
-        # A gets() hit: (value, cas).
-        value, cas = outcome
-        token = cas_map.setdefault(cas, len(cas_map))
-        return [_canonical_outcome(value, cas_map), f"cas#{token}"]
-    if isinstance(outcome, tuple):
-        return [_canonical_outcome(x, cas_map) for x in outcome]
-    return outcome
-
-
 def history_digest(records: Iterable[OpRecord]) -> str:
     """See :meth:`HistoryRecorder.digest`."""
     cas_map: dict[int, int] = {}
@@ -248,7 +274,8 @@ def history_digest(records: Iterable[OpRecord]) -> str:
             rec.completed_us,
             rec.status,
             rec.server,
-            _canonical_outcome(rec.outcome, cas_map),
+            # A failure's ("error", kind) is no token pair.
+            list(rec.outcome) if rec.status == "fail" else canonical(rec.outcome, cas_map),
         ]
         if rec.annotations:
             # Appended only when present, so annotation-free histories
@@ -284,100 +311,43 @@ class CheckResult:
         return self.ok
 
 
-def _is_counter(state: bytes) -> bool:
-    """Does *state* parse as a uint64 counter (incr/decr can apply)?"""
-    return state.isdigit() and int(state) < _COUNTER_LIMIT
+#: Failure kinds accepted without effect when the oracle does not
+#: predict them: out-of-memory under pressure and a desynchronized
+#: stream are outside the register model.
+_OPAQUE_ERRORS = frozenset({"server", "protocol"})
 
 
-def _effect(op: str, args: tuple, state: Optional[bytes]) -> Optional[bytes]:
-    """The state after *op* executes against *state* (outcome ignored):
-    the one statement of each op's register effect, used for lost
-    operations and completed ones alike."""
-    if op in ("set",):
-        return args[0]
-    if op == "add":
-        return args[0] if state is None else state
-    if op == "replace":
-        return args[0] if state is not None else state
-    if op == "append":
-        return state + args[0] if state is not None else None
-    if op == "prepend":
-        return args[0] + state if state is not None else None
-    if op == "delete":
-        return None
-    if op in ("incr", "decr"):
-        if state is None or not _is_counter(state):
-            return state
-        delta = args[0]
-        if op == "incr":
-            return str((int(state) + delta) % _COUNTER_LIMIT).encode()
-        return str(max(0, int(state) - delta)).encode()
-    if op in ("get", "gets", "touch"):
-        return state
-    raise ValueError(f"op {op!r} not supported by the checker")
+def _run(oracle: ModelMemcached, cmd: Command, state: Optional[bytes]):
+    """The *oracle*'s reply to *cmd* against register *state*, and the
+    register after it.  The oracle holds nothing before or after."""
+    if state is not None:
+        oracle.set(cmd.key, state)
+    reply = oracle.apply(cmd)
+    try:
+        hit = oracle.get(cmd.key)
+    except ClientError:  # an invalid key never holds a value
+        hit = None
+    oracle.evict(cmd.key)
+    return reply, None if hit is None else hit.value
 
 
-def _transition(rec: OpRecord, state: Optional[bytes]):
-    """(valid, new_state) for a *completed* operation: does the observed
-    outcome agree with executing *rec* against *state*?  A successful
-    op's next state is :func:`_effect`'s; this only checks the outcome."""
-    op, outcome = rec.op, rec.outcome
-    if _invalid_key(rec.key):
-        # An invalid key can never hold state.  Every op on it must fail
-        # client-side -- except touch, which skips store-side key
-        # validation and reads as a plain miss.  A success here is a
-        # validation bypass and fails the check.
-        if op == "touch":
-            return rec.status != "fail" and outcome is False, state
-        return rec.status == "fail" and outcome == ("error", "client"), state
-    if rec.annotations:
-        # Serving-layer record: a stale/lease-annotated miss, a
-        # client-cached read or a denied lease fill.  None of these are
-        # register transitions (expiry and client-local caching have no
-        # register semantics), so accept the observation without effect.
-        return True, state
-    if rec.status == "fail":
-        # Only arithmetic has a state-dependent client error we model:
-        # incr/decr on a present non-numeric (or over-wide) value.
-        if op in ("incr", "decr") and outcome == ("error", "client"):
-            return state is not None and not _is_counter(state), state
-        # Other failures (e.g. a server-side error) are state-independent
-        # from the register's point of view: accept without effect.
-        return True, state
-    new_state = _effect(op, rec.args, state)
-    present = state is not None
-    if op == "set":
-        valid = outcome is True
-    elif op == "add":
-        valid = outcome is (not present)
-    elif op in ("replace", "append", "prepend", "delete"):
-        valid = outcome is present
-    elif op == "get":
-        valid = outcome == state
-    elif op == "gets":
-        # Outcome is (value, cas): tokens are unverifiable against the
-        # register model, so only the value is compared.
-        valid = (
-            isinstance(outcome, tuple) and outcome[0] == state
-            if present
-            else outcome is None
-        )
-    elif op in ("incr", "decr"):
-        # A non-numeric (or over-wide) value would have raised, not
-        # returned.
-        valid = (
-            _is_counter(state) and outcome == int(new_state)
-            if present
-            else outcome is None
-        )
-    else:
-        # touch: checkable histories only touch with exptime=0 (no
-        # expiry in the register model), a pure existence probe.
-        valid = (outcome is True) == present
-    return valid, new_state
+def _agrees(rec: OpRecord, cmd: Command, reply) -> bool:
+    """Does *rec*'s recorded outcome match the oracle's *reply*?  A gets
+    hit's cas token is unverifiable against the register, so only its
+    value is compared."""
+    if reply.status == "error":
+        return rec.status == "fail" and rec.outcome[1] == reply.error_kind
+    if rec.status != "complete":
+        return False
+    expected = interpret(cmd, reply)
+    if cmd.op == "gets" and expected is not None and isinstance(rec.outcome, tuple):
+        return rec.outcome[0] == expected[0]
+    return rec.outcome == expected
 
 
-def _check_group(records: list[OpRecord], evict_budget: int = 0) -> Optional[str]:
+def _check_group(
+    records: list[OpRecord], oracle: ModelMemcached, evict_budget: int = 0
+) -> Optional[str]:
     """Check one (key, server) sub-history; None if linearizable, else a
     reason string.
 
@@ -386,7 +356,8 @@ def _check_group(records: list[OpRecord], evict_budget: int = 0) -> Optional[str
     before every other pending operation's completion), memoized on
     (set-of-linearized-ops, register state, evictions spent).  Worst
     case is exponential in the concurrency width; with memoization it is
-    linear in history length for sequential segments.
+    linear in history length for sequential segments.  *oracle* gives
+    every step its expected outcome and next state (:func:`_run`).
 
     *evict_budget* is the eviction-aware specification: the store
     reported destroying this key's value that many times (LRU eviction,
@@ -399,6 +370,7 @@ def _check_group(records: list[OpRecord], evict_budget: int = 0) -> Optional[str
         return None
     inv = [r.invoked_us for r in records]
     comp = [r.completion_instant for r in records]
+    cmds = [_command(r) for r in records]
 
     seen: set[tuple[frozenset, Optional[bytes], int]] = set()
     # Each stack entry: (done frozenset, state, evictions spent).
@@ -420,20 +392,24 @@ def _check_group(records: list[OpRecord], evict_budget: int = 0) -> Optional[str
             if inv[i] > horizon:
                 continue  # not minimal: someone completed before it began
             rec = records[i]
+            if rec.annotations:
+                # Serving-layer record: a stale/lease-annotated miss, a
+                # client-cached read or a denied lease fill.  None of
+                # these are register transitions (expiry and client-local
+                # caching have no register semantics), so accept the
+                # observation without effect.
+                stack.append((done | {i}, state, spent))
+                continue
+            reply, after = _run(oracle, cmds[i], state)
             if rec.status == "lost":
                 # Branch 1: the request never executed.
                 stack.append((done | {i}, state, spent))
                 # Branch 2: it executed (at some admissible point).
-                # Invalid keys have no effect branch: validation rejects
-                # the op before it touches state.
-                if not _invalid_key(rec.key):
-                    stack.append(
-                        (done | {i}, _effect(rec.op, rec.args, state), spent)
-                    )
-            else:
-                ok, new_state = _transition(rec, state)
-                if ok:
-                    stack.append((done | {i}, new_state, spent))
+                stack.append((done | {i}, after, spent))
+            elif _agrees(rec, cmds[i], reply):
+                stack.append((done | {i}, after, spent))
+            elif rec.status == "fail" and rec.outcome[1] in _OPAQUE_ERRORS:
+                stack.append((done | {i}, state, spent))
     first = records[0]
     budget_note = f" (eviction budget {evict_budget})" if evict_budget else ""
     return (
@@ -485,13 +461,16 @@ def check_history(
         groups.setdefault(group, []).append(rec)
 
     result = CheckResult(ok=True, groups=len(groups), ops=ops)
+    # One oracle for the whole check; its clock never moves, since
+    # checkable histories carry no expiry.
+    oracle = ModelMemcached(clock=lambda: 0.0)
     for (key, server), recs in sorted(groups.items(), key=lambda kv: str(kv[0])):
         recs.sort(key=lambda r: (r.invoked_us, r.op_id))
-        reason = _check_group(recs)
+        reason = _check_group(recs, oracle)
         if reason is None:
             continue
         budget = (evicted or {}).get((key, server if by_server else None), 0)
-        if budget > 0 and _check_group(recs, evict_budget=budget) is None:
+        if budget > 0 and _check_group(recs, oracle, evict_budget=budget) is None:
             result.evictable.append((key, server))
             continue
         result.ok = False

@@ -55,7 +55,7 @@ MODEL_DIVERGENCES: list[tuple[str, str]] = [
         "CAS tokens are allocated from a model-local counter, not the "
         "process-global item counter, so raw token values differ from "
         "any live store.  Comparators must canonicalize tokens by first "
-        "occurrence (repro.check.differential does).",
+        "occurrence (repro.check.outcome does).",
     ),
 ]
 

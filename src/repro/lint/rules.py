@@ -591,7 +591,7 @@ class HistoryGuardRule(Rule):
       (``_call``, which records every attempt) or to the recorder
       directly;
     - outside ``check/`` itself, calls to the recorder's recording
-      methods (``invoke``/``complete``/``fail``/``lost``) must be
+      methods (``invoke``/``complete``/``fail``/``lost``/``settle``) must be
       syntactically guarded on ``recorder.enabled`` -- same zero-cost
       contract as the tracer (L006), including the early-exit idiom
       ``if not recorder.enabled: return ...``.
@@ -610,7 +610,7 @@ class HistoryGuardRule(Rule):
             "flush_all", "get_lease", "set_with_lease",
         }
     )
-    RECORDER_METHODS = frozenset({"invoke", "complete", "fail", "lost"})
+    RECORDER_METHODS = frozenset({"invoke", "complete", "fail", "lost", "settle"})
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Check recording coverage, then guard discipline."""

@@ -37,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
-from repro.check.history import recorder
+from repro.check.history import record_args, recorder
 from repro.core.errors import EndpointClosed, UcrTimeout
 from repro.memcached import protocol
 from repro.memcached import protocol_binary as binp
 from repro.memcached import protocol_ucr as ucrp
-from repro.memcached.command import Command, Reply
+from repro.memcached.command import Command, Reply, interpret, raise_reply_error
 from repro.memcached.errors import (
     ClientError,
     ProtocolError,
@@ -85,13 +85,6 @@ DEFAULT_TIMEOUT_US = 1_000_000.0
 #: Sentinel for pipeline slots whose reply has not landed yet.
 _PENDING = object()
 
-#: Exception class -> history-record failure kind.
-_ERROR_KIND = {
-    ClientError: "client",
-    ServerError: "server",
-    ProtocolError: "protocol",
-}
-
 #: Ops whose issue must invalidate a client-local hot-cache entry
 #: (write-through: any mutation, plus touch, which changes expiry).
 _HOT_INVALIDATING_OPS = frozenset(
@@ -114,72 +107,6 @@ _HOT_CACHE = "hot-cache"
 def _ctx(span):
     """The TraceContext of *span*, or None when tracing is off."""
     return span.ctx if span is not None else None
-
-
-def _raise_reply_error(reply: Reply) -> None:
-    """Surface an error reply with the text protocol's taxonomy (every
-    wire format preserves the CLIENT_ERROR vs SERVER_ERROR distinction;
-    'protocol' marks a rejected/unparseable exchange)."""
-    if reply.status != "error":
-        return
-    if reply.error_kind == "client":
-        raise ClientError(reply.message)
-    if reply.error_kind == "protocol":
-        raise ProtocolError(reply.message)
-    raise ServerError(reply.message)
-
-
-def _interpret(cmd: Command, reply: Reply):
-    """Map a reply onto the blocking API's return value (raising for
-    error replies).  One interpretation for all transports -- the codecs
-    already normalized the wire differences into the IR."""
-    _raise_reply_error(reply)
-    op = cmd.op
-    if op in ("set", "add", "replace", "append", "prepend"):
-        return reply.status == "stored"
-    if op == "cas":
-        return reply.status
-    if op == "get":
-        if len(cmd.keys) > 1:
-            return {key: data for key, _flags, data, _cas in reply.values}
-        return reply.values[0][2] if reply.values else None
-    if op == "gets":
-        if not reply.values:
-            return None
-        _key, _flags, data, cas = reply.values[0]
-        return data, cas
-    if op == "getl":
-        if not reply.lease_state:
-            # Fresh hit: exactly a get's return shape.
-            return reply.values[0][2] if reply.values else None
-        stale_value = reply.values[0][2] if reply.values else None
-        return reply.lease_state, stale_value, reply.lease_token
-    if op == "delete":
-        return reply.status == "deleted"
-    if op in ("incr", "decr"):
-        return reply.number if reply.status == "number" else None
-    if op == "touch":
-        return reply.status == "touched"
-    if op == "stats":
-        return dict(reply.stats or {})
-    if op == "version":
-        return reply.message
-    return None  # flush_all / noop acknowledgements
-
-
-def _record_args(cmd: Command) -> tuple:
-    """The args tuple a direct method call would have recorded (the
-    history checker reads value/delta/exptime positionally)."""
-    op = cmd.op
-    if op in ("set", "add", "replace", "append", "prepend"):
-        return (cmd.value,)
-    if op == "cas":
-        return (cmd.value, cmd.cas)
-    if op in ("incr", "decr"):
-        return (cmd.delta,)
-    if op == "touch":
-        return (cmd.exptime,)
-    return ()
 
 
 def _annotations(cmd: Command, reply: Reply, server: Optional[str]) -> tuple:
@@ -768,22 +695,18 @@ class MemcachedClient:
         :class:`ShardedClient` overrides this with its retry loop.
         """
         if not recorder.enabled:
-            return _interpret(cmd, (yield from self._serve(cmd)))
+            return interpret(cmd, (yield from self._serve(cmd)))
         op = "get" if cmd.op == "getl" else cmd.op
         key = cmd.keys[0] if cmd.keys else None
-        rec = recorder.invoke(self, op, key, _record_args(cmd), self.sim.now)
+        rec = recorder.invoke(self, op, key, record_args(cmd), self.sim.now)
         try:
             reply = yield from self._serve(cmd)
-            result = _interpret(cmd, reply)
-        except ServerDownError:
-            recorder.lost(rec, self.sim.now, self._last_server)
+            result = interpret(cmd, reply)
+        except (ServerDownError, ClientError, ServerError, ProtocolError) as exc:
+            recorder.settle(rec, exc, self.sim.now, self._last_server)
             raise
-        except (ClientError, ServerError, ProtocolError) as exc:
-            recorder.fail(rec, _ERROR_KIND[type(exc)], self.sim.now,
-                          self._last_server)
-            raise
-        recorder.complete(rec, result, self.sim.now, self._last_server,
-                          annotations=_annotations(cmd, reply, self._last_server))
+        recorder.settle(rec, result, self.sim.now, self._last_server,
+                        _annotations(cmd, reply, self._last_server))
         return result
 
     def _serve(self, cmd: Command):
@@ -817,7 +740,7 @@ class MemcachedClient:
                     reply = yield from self.transport.execute(
                         server, cmd, trace=_ctx(span)
                     )
-                    _raise_reply_error(reply)
+                    raise_reply_error(reply)
                 return reply
             server = yield from self._pick(cmd.key)
             if cmd.op in _GUTTER_CLAMP_OPS:
@@ -973,23 +896,17 @@ class MemcachedClient:
             )
             if isinstance(reply, Exception):
                 raise reply
-            _raise_reply_error(reply)
-        except ServerDownError:
+            raise_reply_error(reply)
+        except (ServerDownError, ClientError, ServerError, ProtocolError) as exc:
             if recorder.enabled and recs is not None:
                 for key in group:
-                    recorder.lost(recs[key], self.sim.now, server)
-            raise
-        except (ClientError, ServerError, ProtocolError) as exc:
-            if recorder.enabled and recs is not None:
-                kind = _ERROR_KIND[type(exc)]
-                for key in group:
-                    recorder.fail(recs[key], kind, self.sim.now, server)
+                    recorder.settle(recs[key], exc, self.sim.now, server)
             raise
         for key, _flags, data, _cas in reply.values:
             out[key] = data
         if recorder.enabled and recs is not None:
             for key in group:
-                recorder.complete(recs[key], out.get(key), self.sim.now, server)
+                recorder.settle(recs[key], out.get(key), self.sim.now, server)
 
     # -- pipelining -----------------------------------------------------------------
 
@@ -1025,7 +942,7 @@ class MemcachedClient:
                 servers.append(server)
             if recorder.enabled:
                 recs = [
-                    recorder.invoke(self, cmd.op, cmd.key, _record_args(cmd),
+                    recorder.invoke(self, cmd.op, cmd.key, record_args(cmd),
                                     self.sim.now)
                     for cmd in commands
                 ]
@@ -1063,30 +980,18 @@ class MemcachedClient:
             rep = replies[idx]
             if rep is _PENDING:  # fetch process died before this slot
                 rep = ServerDownError(f"{server}: pipelined reply never arrived")
-            if isinstance(rep, ServerDownError):
-                if recorder.enabled:
-                    recorder.lost(recs[idx], self.sim.now, server)
-                self._note_failure(server)
-                results.append(rep)
-                continue
-            if isinstance(rep, Exception):
-                if recorder.enabled:
-                    recorder.fail(recs[idx], _ERROR_KIND.get(type(rep), "server"),
-                                  self.sim.now, server)
-                results.append(rep)
-                continue
-            try:
-                value = _interpret(cmd, rep)
-            except (ClientError, ServerError, ProtocolError) as exc:
-                if recorder.enabled:
-                    recorder.fail(recs[idx], _ERROR_KIND[type(exc)],
-                                  self.sim.now, server)
-                results.append(exc)
-                continue
+            if not isinstance(rep, Exception):
+                try:
+                    rep = interpret(cmd, rep)
+                except (ClientError, ServerError, ProtocolError) as exc:
+                    rep = exc
             if recorder.enabled:
-                recorder.complete(recs[idx], value, self.sim.now, server)
-            self._note_success(server)
-            results.append(value)
+                recorder.settle(recs[idx], rep, self.sim.now, server)
+            if isinstance(rep, ServerDownError):
+                self._note_failure(server)
+            elif not isinstance(rep, Exception):
+                self._note_success(server)
+            results.append(rep)
         return results
 
     # -- mutation -------------------------------------------------------------------
@@ -1116,7 +1021,7 @@ class MemcachedClient:
         target = server or self.distribution.servers[0]
         cmd = Command(op="stats")
         reply = yield from self.transport.execute(target, cmd)
-        return _interpret(cmd, reply)
+        return interpret(cmd, reply)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,17 @@ pipelining are implemented once, beneath every transport.
 
 Both dataclasses are plain state carriers -- no wire knowledge, no store
 knowledge -- so codecs and the engine stay the only places where a
-format or a semantic lives.
+format or a semantic lives.  :func:`interpret` folds a reply into the
+blocking API's return value; the client, the differential replay and
+the history checker all read replies through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Optional
+
+from repro.memcached.errors import ClientError, ProtocolError, ServerError
 
 #: Every data-path operation the IR covers (admin ops included).
 OPS = frozenset(
@@ -135,3 +139,54 @@ def entry_length(data) -> int:
     if isinstance(data, (bytes, bytearray)):
         return len(data)
     return data.value_length
+
+
+def raise_reply_error(reply: Reply) -> None:
+    """Surface an error reply with the text protocol's taxonomy (every
+    wire format preserves the CLIENT_ERROR vs SERVER_ERROR distinction;
+    'protocol' marks a rejected/unparseable exchange)."""
+    if reply.status != "error":
+        return
+    if reply.error_kind == "client":
+        raise ClientError(reply.message)
+    if reply.error_kind == "protocol":
+        raise ProtocolError(reply.message)
+    raise ServerError(reply.message)
+
+
+def interpret(cmd: Command, reply: Reply):
+    """Map a reply onto the blocking API's return value (raising for
+    error replies).  One interpretation for all transports -- the codecs
+    already normalized the wire differences into the IR."""
+    raise_reply_error(reply)
+    op = cmd.op
+    if op in ("set", "add", "replace", "append", "prepend"):
+        return reply.status == "stored"
+    if op == "cas":
+        return reply.status
+    if op == "get":
+        if len(cmd.keys) > 1:
+            return {key: data for key, _flags, data, _cas in reply.values}
+        return reply.values[0][2] if reply.values else None
+    if op == "gets":
+        if not reply.values:
+            return None
+        _key, _flags, data, cas = reply.values[0]
+        return data, cas
+    if op == "getl":
+        if not reply.lease_state:
+            # Fresh hit: exactly a get's return shape.
+            return reply.values[0][2] if reply.values else None
+        stale_value = reply.values[0][2] if reply.values else None
+        return reply.lease_state, stale_value, reply.lease_token
+    if op == "delete":
+        return reply.status == "deleted"
+    if op in ("incr", "decr"):
+        return reply.number if reply.status == "number" else None
+    if op == "touch":
+        return reply.status == "touched"
+    if op == "stats":
+        return dict(reply.stats or {})
+    if op == "version":
+        return reply.message
+    return None  # flush_all / noop acknowledgements

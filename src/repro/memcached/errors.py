@@ -35,3 +35,12 @@ class ProtocolError(MemcachedError):
 class ServerDownError(MemcachedError):
     """Transport-level failure: the client declared the server dead
     (UCR wait timeout or socket EOF)."""
+
+
+#: Exception class -> the error kind an outcome names it by (the text
+#: protocol's CLIENT_ERROR / SERVER_ERROR split, plus a broken exchange).
+ERROR_KIND = {
+    ClientError: "client",
+    ServerError: "server",
+    ProtocolError: "protocol",
+}

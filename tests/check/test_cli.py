@@ -1,6 +1,7 @@
 """The repro-check CLI: exit codes and output surfaces."""
 
 import json
+from pathlib import Path
 
 from repro.check.cli import build_parser, main
 
@@ -94,3 +95,43 @@ def test_shrink_reminimizes_dump(tmp_path, capsys):
     assert code == 1  # still failing (the mutation is in the dump)
     assert "shrunk" in out
     assert dump.with_name(dump.stem + ".min.json").exists()
+
+
+def test_fuzz_shrinks_a_cross_config_disagreement(tmp_path, capsys):
+    """Under pressure seed 202 makes UCR-IB and SDP/text disagree while
+    each replay matches its own oracle: the pair is shrunk and dumped
+    (both config names, the disagreeing index), and the dump reloads."""
+    code = main(
+        [
+            "fuzz",
+            "--pressure",
+            "--seed", "202",
+            "--seeds", "1",
+            "--ops", "120",
+            "--parser-cases", "0",
+            "--config", "UCR-IB",
+            "--config", "SDP/text",
+            "--out", str(tmp_path),
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "MISMATCH on UCR-IB vs SDP/text" in out
+    dump = tmp_path / "mismatch-seed202.json"
+    doc = json.loads(dump.read_text())
+    assert doc["configs"] == ["UCR-IB", "SDP/text"]
+    assert doc["mismatches"] == []
+    assert 0 <= doc["disagreement_index"] < len(doc["commands"]) < 120
+    assert main(["shrink", str(dump)]) == 1
+    assert dump.with_name(dump.stem + ".min.json").exists()
+
+
+def test_shrink_reloads_a_single_config_dump(tmp_path, capsys):
+    """Dumps that name one config and no pair still shrink."""
+    witness = Path(__file__).parent / "data" / "lease-serve-stale-past-deadline.json"
+    assert "configs" not in json.loads(witness.read_text())
+    case = tmp_path / "case.json"
+    case.write_text(witness.read_text())
+    assert main(["shrink", str(case)]) == 1
+    assert "shrunk 4 -> 4" in capsys.readouterr().out
+    assert case.with_name("case.min.json").exists()

@@ -1,5 +1,8 @@
 """The history recorder and the Wing--Gong linearizability checker."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.check.history import (
@@ -90,6 +93,63 @@ def test_recorded_args_do_not_depend_on_call_style():
         check_history(records)
 
 
+@pytest.mark.parametrize("config", ["UCR-IB", "UCR-1S", "IPoIB/text", "SDP/bin"])
+@pytest.mark.parametrize("op", ["set", "replace", "append", "prepend"])
+def test_oversize_store_unlinks_the_old_value_and_checks(config, op):
+    """A too-large store fails with SERVER_ERROR *and* destroys the old
+    item (memcached unlinks before it allocates), so the next get
+    misses -- a correct sequential history the checker must accept."""
+    from repro.check.differential import CONFIGS
+    from repro.cluster import CLUSTER_A, Cluster
+    from repro.memcached.errors import ServerError
+
+    _name, transport, binary = {c[0]: c for c in CONFIGS}[config]
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server()
+    client = cluster.client(transport, binary=binary)
+    seen = []
+
+    def scenario():
+        yield from client.set("k", b"a")
+        try:
+            yield from getattr(client, op)("k", b"x" * (1 << 20))
+        except ServerError:
+            seen.append("server-error")
+        seen.append((yield from client.get("k")))
+
+    with recorder.recording():
+        cluster.sim.process(scenario())
+        cluster.sim.run()
+        records = list(recorder.records)
+    assert seen == ["server-error", None]
+    assert [r.status for r in records] == ["complete", "fail", "complete"]
+    assert check_history(records, by_server=False).ok
+
+
+def test_a_refused_lease_fill_on_an_invalid_key_checks():
+    """The engine's lease gate runs before key validation, so a fill
+    with a stale token on an over-long key is refused (not_stored), not
+    rejected: the client records a lease-denied set, which the checker
+    accepts without effect like any annotated record."""
+    from repro.cluster import CLUSTER_A, Cluster
+
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server()
+    client = cluster.client("UCR-IB")
+    seen = []
+
+    def scenario():
+        seen.append((yield from client.set_with_lease("k" * 251, b"v", 12345)))
+
+    with recorder.recording():
+        cluster.sim.process(scenario())
+        cluster.sim.run()
+        records = list(recorder.records)
+    assert seen == [False]
+    assert records[0].annotations == ("lease-denied",)
+    assert check_history(records).ok
+
+
 def test_lost_and_fail_shapes():
     with recorder.recording():
         r1 = recorder.invoke(object(), "set", "k", (b"v",), 1.0)
@@ -99,6 +159,41 @@ def test_lost_and_fail_shapes():
     assert r1.status == "lost" and r1.completed_us is None
     assert r1.completion_instant == float("inf")
     assert r2.status == "fail" and r2.outcome == ("error", "client")
+
+
+def test_settle_maps_a_result_onto_the_record_status():
+    from repro.memcached.errors import ClientError, ProtocolError, ServerDownError
+
+    with recorder.recording():
+        lost, failed, broken, done = (
+            recorder.invoke(object(), "get", "k", (), 1.0) for _ in range(4)
+        )
+        recorder.settle(lost, ServerDownError("down"), 2.0, "s0")
+        recorder.settle(failed, ClientError("bad"), 3.0, "s0")
+        recorder.settle(broken, ProtocolError("desync"), 4.0, "s0")
+        recorder.settle(done, b"v", 5.0, "s0", ("cached",))
+    assert lost.status == "lost" and lost.completed_us is None
+    assert failed.status == "fail" and failed.outcome == ("error", "client")
+    assert broken.outcome == ("error", "protocol")
+    assert (done.status, done.outcome, done.annotations) == ("complete", b"v", ("cached",))
+
+
+def test_digest_keeps_failures_out_of_the_token_map():
+    """A failure's ("error", kind) is no (value, cas) pair: the first
+    real cas token after it is still token 0, and lease tokens get
+    their own first-occurrence names."""
+    records = [
+        rec(0, "incr", "k", (1,), 1.0, 2.0, ("error", "client"), status="fail"),
+        rec(1, "gets", "k", (), 3.0, 4.0, (b"v", 7)),
+        rec(2, "get", "k", (), 5.0, 6.0, ("won", None, 41)),
+    ]
+    rows = [
+        [0, 0, "incr", "k", [1], 1.0, 2.0, "fail", "s0", ["error", "client"]],
+        [1, 0, "gets", "k", [], 3.0, 4.0, "complete", "s0", ["v", "cas#0"]],
+        [2, 0, "get", "k", [], 5.0, 6.0, "complete", "s0", ["won", None, "lease#1"]],
+    ]
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    assert history_digest(records) == hashlib.sha256(blob).hexdigest()
 
 
 def test_digest_canonicalizes_cas_tokens():
@@ -171,6 +266,20 @@ def test_arith_client_error_needs_non_numeric_state():
         rec(1, "incr", "k", (1,), 3.0, 4.0, ("error", "client"), status="fail"),
     ]
     assert not check_history(bad).ok  # numeric state: the error is a phantom
+
+
+def test_unpredicted_client_error_is_a_phantom():
+    """A failure is legal when the oracle fails the op the same way.  A
+    SERVER_ERROR or a protocol error it does not predict is accepted
+    without effect (memory pressure, stream desync); a CLIENT_ERROR on a
+    valid key and value is a phantom."""
+    for kind, ok in (("client", False), ("server", True), ("protocol", True)):
+        records = [
+            rec(0, "set", "k", (b"a",), 1.0, 2.0, True),
+            rec(1, "set", "k", (b"b",), 3.0, 4.0, ("error", kind), status="fail"),
+            rec(2, "get", "k", (), 5.0, 6.0, b"a"),
+        ]
+        assert check_history(records).ok is ok, kind
 
 
 # -- checker: concurrency ------------------------------------------------------

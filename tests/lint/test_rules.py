@@ -459,9 +459,10 @@ def test_l007_flags_unguarded_recorder_calls(tmp_path):
         def hot(sim):
             r = recorder.invoke(None, "get", "k", (), sim.now)
             recorder.complete(r, None, sim.now, "s0")
+            recorder.settle(r, None, sim.now, "s0")
         """,
     )
-    assert _rule_ids(report) == ["L007", "L007"]
+    assert _rule_ids(report) == ["L007", "L007", "L007"]
     assert "unguarded recorder" in report.findings[0].message
 
 
