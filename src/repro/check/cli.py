@@ -6,8 +6,9 @@ and across all transport/protocol configurations) and a concurrent
 4-client sharded pass whose recorded history goes to the
 linearizability checker -- and prints a per-configuration verdict with
 the deterministic history digest.  By default each configuration also
-runs pipelined (``--pipeline-depth`` commands in flight): a
-depth-windowed oracle replay plus a pipelined concurrent pass.  ``repro-check fuzz`` sweeps seeds,
+runs pipelined (``--pipeline-depth`` commands in flight): the same
+oracle replay with key-disjoint windows in flight, plus a pipelined
+concurrent pass.  ``repro-check fuzz`` sweeps seeds,
 shrinks any mismatch it finds, and writes JSON repro cases;
 ``repro-check shrink`` re-minimizes a previously dumped case.
 
@@ -49,7 +50,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         differential_run,
         generate_commands,
         replay_concurrent,
-        replay_pipelined,
+        replay_sequential,
     )
 
     configs = _select_configs(args.config)
@@ -57,18 +58,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     pressure = args.pressure
     store_config = PRESSURE_STORE_CONFIG if pressure else None
 
-    commands = generate_commands(
-        args.seed,
-        args.sequential_ops,
-        n_keys=32 if pressure else 8,
-        pressure=pressure,
-    )
+    commands = generate_commands(args.seed, args.sequential_ops, pressure=pressure)
     diff = differential_run(
-        commands,
-        seed=args.seed,
-        configs=configs,
-        store_config=store_config,
-        tolerant=pressure,
+        commands, seed=args.seed, configs=configs, store_config=store_config
     )
     status = "ok" if diff.ok else "MISMATCH"
     label = "pressure sequential" if pressure else "sequential"
@@ -97,10 +89,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     depth = args.pipeline_depth
     if depth > 1 and pressure:
-        # The depth-windowed oracle replay has no eviction adoption
-        # (batched ops complete out of order, so there is no single
-        # "before the oracle op" drain point); pressure pipelining is
-        # covered by the concurrent pass below instead.
+        # A pipelined window has no per-op eviction drain point, so the
+        # windowed replay refuses a pressure store; pressure pipelining
+        # is covered by the concurrent pass below instead.
         print("pipelined: skipped under --pressure")
     elif depth > 1:
         print(
@@ -108,7 +99,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"(depth {depth}, seed {args.seed})"
         )
         for config in configs:
-            replay = replay_pipelined(config, commands, depth=depth, seed=args.seed)
+            replay = replay_sequential(config, commands, seed=args.seed, depth=depth)
             verdict = "ok" if replay.ok else "MISMATCH"
             print(f"  {replay.config:<22} {verdict}")
             if not replay.ok:
@@ -132,7 +123,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 n_clients=args.clients,
                 n_servers=args.shards,
                 n_ops=args.ops,
-                n_keys=32 if pressure else 8,
                 chaos=args.chaos,
                 pipeline_depth=d,
                 store_config=store_config,
@@ -186,7 +176,6 @@ def _shrink_and_dump(
             configs=[table[name] for name in names],
             mutation=mutation,
             store_config=PRESSURE_STORE_CONFIG if pressure else None,
-            tolerant=pressure,
         )
 
     if run(commands).ok:
@@ -205,9 +194,21 @@ def _shrink_and_dump(
         disagreement=None if bad.mismatches else diff.disagreements[0],
     )
     print(f"  shrunk {len(commands)} -> {len(small)} commands; wrote {path}")
-    for cmd in small:
-        print(f"    {cmd.op} {cmd.key!r} value={cmd.value!r}")
+    for entry in small:
+        print(f"    {_describe(entry)}")
     return True
+
+
+def _describe(entry) -> str:
+    """One line for a sequence entry: op, key, value length and a short
+    prefix (a pressure value is ~124 KB; the dump holds it in full)."""
+    if entry.op == "sleep":
+        return f"sleep {entry.seconds}s"
+    line = f"{entry.op} {entry.keys[0] if entry.keys else ''!r}"
+    if entry.value:
+        more = "..." if len(entry.value) > 16 else ""
+        line += f" value[{len(entry.value)}]={entry.value[:16]!r}{more}"
+    return line
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -224,12 +225,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     failures = 0
     for seed in range(args.seed, args.seed + args.seeds):
         commands = generate_commands(
-            seed,
-            args.ops,
-            n_keys=32 if pressure else 8,
-            pressure=pressure,
-            zipf=args.zipf,
-            lease=args.lease,
+            seed, args.ops, pressure=pressure, zipf=args.zipf, lease=args.lease
         )
         diff = differential_run(
             commands,
@@ -237,7 +233,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             configs=configs,
             mutation=args.mutation,
             store_config=store_config,
-            tolerant=pressure,
         )
         if diff.ok:
             note = ""

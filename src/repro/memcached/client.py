@@ -532,13 +532,15 @@ class UcrUdTransport(UcrTransport):
         self.max_retries = max_retries
         #: The local UD endpoint responses arrive on.
         self.local_ud = context.create_ud_endpoint()
-        #: Retransmission bookkeeping is single-flight.
-        self.supports_concurrency = False
         self._response = None
         self.local_ud._mc_response_sink = self._deliver_response
         self._server_uds: dict[str, object] = {}
         self._next_request_id = 1
         self._last_request_id = 0
+
+    #: Retransmission bookkeeping is single-flight: mget groups run one
+    #: after another, and ``execute_many`` keeps one command in flight.
+    supports_concurrency = False
 
     @property
     def name(self) -> str:
@@ -862,7 +864,7 @@ class MemcachedClient:
                     for key in keys
                 }
             out: dict[str, bytes] = {}
-            if getattr(self.transport, "supports_concurrency", False) and len(by_server) > 1:
+            if self.transport.supports_concurrency and len(by_server) > 1:
                 fetches = [
                     self.sim.process(
                         self._fetch_group(server, group, out, recs, _ctx(span))
@@ -925,8 +927,6 @@ class MemcachedClient:
         if depth is None:
             depth = self.pipeline_depth
         depth = max(1, int(depth))
-        if not getattr(self.transport, "supports_concurrency", True):
-            depth = 1  # single-flight transports (UD) serialize anyway
         span = (
             tracer.begin("client.pipeline", "client", self.sim.now,
                          nops=len(commands), depth=depth)
@@ -957,7 +957,7 @@ class MemcachedClient:
                 for i, rep in zip(idxs, group):
                     replies[i] = rep
 
-            if getattr(self.transport, "supports_concurrency", False) and len(groups) > 1:
+            if self.transport.supports_concurrency and len(groups) > 1:
                 procs = [
                     self.sim.process(fetch(server, idxs))
                     for server, idxs in groups.items()

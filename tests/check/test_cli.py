@@ -97,10 +97,19 @@ def test_shrink_reminimizes_dump(tmp_path, capsys):
     assert dump.with_name(dump.stem + ".min.json").exists()
 
 
-def test_fuzz_shrinks_a_cross_config_disagreement(tmp_path, capsys):
+def test_fuzz_shrinks_a_cross_config_disagreement(tmp_path, capsys, monkeypatch):
     """Under pressure seed 202 makes UCR-IB and SDP/text disagree while
     each replay matches its own oracle: the pair is shrunk and dumped
-    (both config names, the disagreeing index), and the dump reloads."""
+    (both config names, the disagreeing index), and the dump reloads.
+
+    The comparator excuses that pair (an incr's not-found against a
+    CLIENT_ERROR is a presence flip), so the test puts back the rule
+    that did not, to keep a real pair disagreement to shrink."""
+    from repro.check import differential
+
+    rule = differential._eviction_explains
+    monkeypatch.setattr(differential, "_eviction_explains",
+                        lambda op, a, b: rule("", a, b))
     code = main(
         [
             "fuzz",
@@ -117,6 +126,9 @@ def test_fuzz_shrinks_a_cross_config_disagreement(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "MISMATCH on UCR-IB vs SDP/text" in out
+    # The shrunk listing names each value's length and prefix; the
+    # ~124 KB pressure values themselves stay in the dump.
+    assert "value[124" in out and len(out) < 5000
     dump = tmp_path / "mismatch-seed202.json"
     doc = json.loads(dump.read_text())
     assert doc["configs"] == ["UCR-IB", "SDP/text"]

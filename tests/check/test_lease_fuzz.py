@@ -6,6 +6,7 @@ import pytest
 from repro.check.differential import (
     CONFIGS,
     PRESSURE_STORE_CONFIG,
+    Sleep,
     generate_commands,
     replay_sequential,
     shrink_commands,
@@ -25,17 +26,22 @@ MUTATION = "lease-serve-stale-past-deadline"
 def test_lease_generator_is_deterministic_and_opt_in():
     a = generate_commands(7, 80, lease=True)
     assert a == generate_commands(7, 80, lease=True)
-    assert any(c.op in ("getl", "setl") for c in a)
+    assert any(c.op == "getl" for c in a)
+    assert any(getattr(c, "lease_token", 0) for c in a)
     # The default mode is bit-identical to what pre-lease seeds produced:
-    # no getl/setl, short sleeps, the old expiry rate.
+    # no getl/lease fills, short sleeps, the old expiry rate.
     plain = generate_commands(7, 80)
-    assert all(c.op not in ("getl", "setl") for c in plain)
-    assert all(c.sleep_s <= 4 for c in plain if c.op == "sleep")
+    assert all(c.op != "getl" and not c.lease_token
+               for c in plain if not isinstance(c, Sleep))
+    assert all(c.seconds <= 4 for c in plain if isinstance(c, Sleep))
 
 
 def test_zipf_mode_concentrates_keys():
     cmds = generate_commands(5, 300, zipf=True, lease=True)
-    keyed = [c.key for c in cmds if c.key and not c.key.startswith("k" * 20)]
+    keyed = [
+        c.key for c in cmds
+        if getattr(c, "keys", None) and not c.key.startswith("k" * 20)
+    ]
     top = max(keyed.count(k) for k in set(keyed))
     # Zipf s=0.99 over 8 keys: the hottest key draws far above uniform.
     assert top > len(keyed) / 8 * 1.5
@@ -82,10 +88,11 @@ def test_lease_mutation_is_caught_and_shrinks_small():
     assert failing(small)
     # The witness must actually cross the deadline: an expiring store,
     # enough sleep, and a stale-tolerant lease read.
-    assert any(c.op in ("set", "setl", "add") and c.exptime > 0 for c in small)
-    assert any(c.op == "getl" and c.stale_ok for c in small)
-    slept = sum(c.sleep_s for c in small)
-    expiring = min(c.exptime for c in small if c.exptime > 0)
+    ops = [c for c in small if not isinstance(c, Sleep)]
+    assert any(c.op in ("set", "add") and c.exptime > 0 for c in ops)
+    assert any(c.op == "getl" and c.stale_ok for c in ops)
+    slept = sum(c.seconds for c in small if isinstance(c, Sleep))
+    expiring = min(c.exptime for c in ops if c.exptime > 0)
     assert slept > expiring + 10  # past exptime + stale_window_s
 
 

@@ -20,10 +20,15 @@ from repro.check.differential import (
     replay_sequential,
 )
 
+PLAIN = "677555f2a9f8db7f0b059351d0cd1fceab8f2f626107669e4b354285e81bdb65"
+
 #: SHA-256 of ``json.dumps(replay.outcomes)`` for seed 1, 80 commands;
-#: every config must produce the same list, so one hash per mode.
+#: every config must produce the same list, so one hash per mode.  A
+#: ``depth`` replays each config with that many commands in flight; the
+#: windowed replay must observe exactly what the blocking one does.
 PINNED = {
-    "plain": ({}, "677555f2a9f8db7f0b059351d0cd1fceab8f2f626107669e4b354285e81bdb65"),
+    "plain": ({}, PLAIN),
+    "pipelined-depth4": ({"depth": 4}, PLAIN),
     "pressure": (
         {"pressure": True},
         "59769b869be386ad4155cea803bea6227a874ab1012e716ee510bee3afeff713",
@@ -41,20 +46,32 @@ PINNED = {
 WITNESS = Path(__file__).parent / "data" / "lease-serve-stale-past-deadline.json"
 
 
-@pytest.mark.parametrize("mode", sorted(PINNED))
-def test_differential_outcomes_match_pinned_hash(mode):
-    kwargs, pinned = PINNED[mode]
+def _pinned_replays(kwargs):
+    """One replay per config for a PINNED mode."""
+    kwargs = dict(kwargs)
+    depth = kwargs.pop("depth", 1)
     pressure = kwargs.get("pressure", False)
-    commands = generate_commands(1, 80, n_keys=32 if pressure else 8, **kwargs)
+    commands = generate_commands(1, 80, **kwargs)
+    if depth > 1:
+        replays = [replay_sequential(cfg, commands, seed=1, depth=depth)
+                   for cfg in CONFIGS]
+        assert all(r.ok for r in replays)
+        assert [r.config for r in replays] == [f"{c[0]}/pipe{depth}" for c in CONFIGS]
+        return replays
     result = differential_run(
         commands,
         seed=1,
         store_config=PRESSURE_STORE_CONFIG if pressure else None,
-        tolerant=pressure,
     )
     assert result.ok
     assert [r.config for r in result.replays] == [c[0] for c in CONFIGS]
-    for replay in result.replays:
+    return result.replays
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED))
+def test_differential_outcomes_match_pinned_hash(mode):
+    kwargs, pinned = PINNED[mode]
+    for replay in _pinned_replays(kwargs):
         digest = hashlib.sha256(json.dumps(replay.outcomes).encode()).hexdigest()
         assert digest == pinned, (mode, replay.config)
 
